@@ -81,7 +81,6 @@ func main() {
 		out      = flag.String("o", "", "CSV output path (default stdout)")
 		base     = flag.String("speedup-base", "", "also print per-workload speedups over this config label")
 		parallel = flag.Int("j", 0, "max concurrent simulations (0 = GOMAXPROCS); CSV row order is unchanged")
-		batch    = flag.Bool("batch", false, "lockstep-batch grid cells sharing a workload image (one shared instruction stream per batch; CSV is byte-identical)")
 		cluster  = flag.String("cluster", "", "comma-separated udpsimd base URLs: fan the grid out across the fleet instead of simulating in-process")
 		traceIn  = flag.String("trace", "", "comma-separated recorded trace files (.udpt2) appended to the descriptor's trace set; the workload grid becomes these traces when the descriptor names none")
 		verbose  = flag.Bool("v", false, "print per-run progress (debug-level logs)")
@@ -109,7 +108,7 @@ func main() {
 	}
 
 	if *tuneFile != "" {
-		runTuneCmd(*tuneFile, *daemon, *storeDir, *parallel, *batch, *verbose, log, fatal)
+		runTuneCmd(*tuneFile, *daemon, *storeDir, *parallel, *verbose, log, fatal)
 		return
 	}
 
@@ -151,15 +150,10 @@ func main() {
 	if *cluster != "" && *metricsOut != "" {
 		fatal("-metrics-out and -cluster are mutually exclusive (interval samples stay on the daemons)")
 	}
-	if *cluster != "" && *batch {
-		log.Warn("-batch is ignored with -cluster (workers decide their own batching)")
-		*batch = false
-	}
 	if *metricsOut != "" && *interval == 0 {
 		*interval = 10_000
 	}
 	var obsOpts experiments.Options
-	obsOpts.Batch = *batch
 	if *metricsOut != "" {
 		mf, err := os.Create(*metricsOut)
 		if err != nil {

@@ -51,7 +51,6 @@ func main() {
 		traceIn   = flag.String("trace", "", "comma-separated recorded trace files (.udpt2) to use as the workload set instead of the synthetic corpus")
 		svgDir    = flag.String("svg", "", "also write FigureNN.svg files into this directory")
 		parallel  = flag.Int("j", 0, "max concurrent simulations (0 = GOMAXPROCS); output is identical at any -j")
-		batch     = flag.Bool("batch", false, "lockstep-batch grid cells sharing a workload image (one shared instruction stream per batch; output is byte-identical)")
 		verbose   = flag.Bool("v", false, "print per-run progress (debug-level logs)")
 
 		metricsOut = flag.String("metrics-out", "", "stream a per-interval metrics time series for every simulated cell (.csv or .jsonl)")
@@ -115,7 +114,6 @@ func main() {
 		o.Simpoints = 1
 	}
 	o.Parallelism = *parallel
-	o.Batch = *batch
 	if *verbose {
 		o.Progress = func(s string) { logger.Debug("run done", "run", s) }
 	}

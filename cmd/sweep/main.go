@@ -16,7 +16,6 @@ import (
 	"strconv"
 	"strings"
 
-	"udpsim/internal/experiments"
 	"udpsim/internal/obs"
 	"udpsim/internal/sim"
 	"udpsim/internal/trace"
@@ -33,7 +32,6 @@ func main() {
 		instrs   = flag.Uint64("instrs", 500_000, "instructions per run")
 		warmup   = flag.Uint64("warmup", 500_000, "warmup instructions")
 		parallel = flag.Int("j", 0, "max concurrent simulations (0 = GOMAXPROCS); CSV row order is unchanged")
-		batch    = flag.Bool("batch", false, "lockstep-batch the sweep over one shared instruction stream (CSV is byte-identical)")
 		verbose  = flag.Bool("v", false, "debug-level progress logs")
 
 		metricsOut = flag.String("metrics-out", "", "stream a per-interval metrics time series for every swept run (.csv or .jsonl)")
@@ -56,10 +54,7 @@ func main() {
 		defer stopDebug()
 	}
 
-	var (
-		baseConfig func(sim.Mechanism) sim.Config
-		prog       *workload.Program
-	)
+	var baseConfig func(sim.Mechanism) sim.Config
 	if *traceIn != "" {
 		src, err := trace.LoadSource(*traceIn)
 		if err != nil {
@@ -79,10 +74,6 @@ func main() {
 		baseConfig = func(m sim.Mechanism) sim.Config {
 			return sim.NewTraceConfig(src.Name(), src.SHA256(), m)
 		}
-		prog, err = src.Image()
-		if err != nil {
-			fatal("trace image failed", "err", err)
-		}
 	} else {
 		prof, ok := workload.ByName(*name)
 		if !ok {
@@ -90,11 +81,6 @@ func main() {
 		}
 		baseConfig = func(m sim.Mechanism) sim.Config {
 			return sim.NewConfig(prof, m)
-		}
-		var err error
-		prog, err = sim.SharedImage(prof)
-		if err != nil {
-			fatal("workload image failed", "err", err)
 		}
 	}
 
@@ -116,12 +102,12 @@ func main() {
 		metrics = obs.NewMetricsWriter(f, obs.FormatForPath(*metricsOut))
 	}
 
-	cellConfig := func(i int) sim.Config {
-		cfg := baseConfig(sim.Mechanism(*mech))
-		cfg.MaxInstructions = *instrs
-		cfg.WarmupInstructions = *warmup
-		applyParam(&cfg, *param, grid[i])
-		return cfg
+	cfgs := make([]sim.Config, len(grid))
+	for i, v := range grid {
+		cfgs[i] = baseConfig(sim.Mechanism(*mech))
+		cfgs[i].MaxInstructions = *instrs
+		cfgs[i].WarmupInstructions = *warmup
+		applyParam(&cfgs[i], *param, v)
 	}
 	// One observer per machine; the metrics writer serializes the
 	// concurrently swept runs. The swept value is stamped into the
@@ -138,40 +124,15 @@ func main() {
 		o.Salt = uint64(grid[i])
 	}
 
-	// Run the whole grid; results land in grid order so the CSV is
-	// identical at any -j, batched or not.
-	results := make([]sim.Result, len(grid))
-	if *batch {
-		// Lockstep mode: every swept machine reads one shared tape of
-		// the workload's architectural stream instead of re-executing
-		// it per cell.
-		cfgs := make([]sim.Config, len(grid))
-		for i := range grid {
-			cfgs[i] = cellConfig(i)
+	// Every swept machine steps in lockstep over one shared tape of the
+	// workload's architectural stream; results land in grid order, so
+	// the CSV is identical at any -j.
+	results, errs := sim.RunBatchCtx(nil, cfgs, *parallel, attach)
+	for i, err := range errs {
+		if err != nil {
+			fatal("sweep failed", "value", grid[i], "err", err)
 		}
-		res, errs := sim.RunBatchCtx(nil, cfgs, *parallel, attach)
-		for i, e := range errs {
-			if e != nil {
-				err = fmt.Errorf("value %d: %w", grid[i], e)
-				break
-			}
-			results[i] = res[i]
-			log.Debug("sweep cell done", "param", *param, "value", grid[i], "ipc", results[i].IPC)
-		}
-	} else {
-		err = experiments.ForEach(len(grid), *parallel, func(i int) error {
-			m, err := sim.NewMachineWithProgram(cellConfig(i), prog)
-			if err != nil {
-				return fmt.Errorf("value %d: %w", grid[i], err)
-			}
-			attach(i, m)
-			results[i] = m.Run()
-			log.Debug("sweep cell done", "param", *param, "value", grid[i], "ipc", results[i].IPC)
-			return nil
-		})
-	}
-	if err != nil {
-		fatal("sweep failed", "err", err)
+		log.Debug("sweep cell done", "param", *param, "value", grid[i], "ipc", results[i].IPC)
 	}
 	if metrics != nil {
 		if err := metrics.Err(); err != nil {

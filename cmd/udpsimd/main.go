@@ -69,8 +69,7 @@ func main() {
 		jobTimeout   = flag.Duration("job-timeout", 0, "per-job runtime cap (0 = unlimited)")
 		drainTimeout = flag.Duration("drain-timeout", 60*time.Second, "graceful-shutdown budget for running jobs")
 		interval     = flag.Uint64("interval", 10_000, "SSE metrics sampling interval in cycles (0 disables samples)")
-		batch        = flag.Bool("batch", false, "lockstep-batch grid cells sharing a workload image and coalesce queued jobs that share one (results are byte-identical)")
-		coalesce     = flag.Int("coalesce", 4, "max queued jobs merged into one batched run (with -batch)")
+		coalesce     = flag.Int("coalesce", 1, "max queued jobs sharing a workload image merged into one lockstep run (1 = no coalescing; results are byte-identical)")
 		storeCacheMB = flag.Int("store-cache-mb", int(serve.DefaultCacheBytes>>20), "in-memory store read cache budget in MiB")
 		pprofAddr    = flag.String("pprof", "", "serve live pprof+expvar+metrics on this extra address (e.g. :6060)")
 		traceOut     = flag.String("trace-out", "", "write the session's job-lifecycle spans as Chrome trace JSON to this file at shutdown (load in Perfetto)")
@@ -101,10 +100,6 @@ func main() {
 		// One forwarding slot per worker: the coordinator's "workers"
 		// are outbound streams, not simulations.
 		workers = len(workerURLs)
-		if *batch {
-			log.Warn("-batch is ignored under -coordinator (coalescing happens on the workers)")
-			*batch = false
-		}
 	} else if n, err := strconv.Atoi(*workersFlag); err == nil && n > 0 {
 		workers = n
 	} else {
@@ -130,7 +125,6 @@ func main() {
 		JobTimeout:  *jobTimeout,
 		Parallelism: *parallel,
 		Interval:    *interval,
-		Batch:       *batch,
 		MaxCoalesce: *coalesce,
 		Log:         log,
 	})

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"sync"
@@ -9,10 +10,26 @@ import (
 	"udpsim/internal/sim"
 )
 
-// TestRunAllBatchedMatchesUnbatched runs the same multi-image,
-// multi-mechanism grid through the per-cell engine and the batched
-// engine and asserts bit-for-bit identical results — the invariant that
-// makes -batch a pure speed knob for every figure driver.
+// independentRuns simulates each job as its own machine per simpoint
+// (sim.RunSimpointsCtx, no tape, no engine) — the reference every
+// engine result must reproduce bit for bit.
+func independentRuns(t *testing.T, o Options, jobs []jobSpec) []sim.Result {
+	t.Helper()
+	want := make([]sim.Result, len(jobs))
+	for i, j := range jobs {
+		_, agg, err := sim.RunSimpointsCtx(context.Background(), o.cellConfig(j.app, j.mech, j.mutate), o.Simpoints, 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = agg
+	}
+	return want
+}
+
+// TestRunAllBatchedMatchesUnbatched runs a multi-image, multi-mechanism
+// grid through the lockstep engine and asserts bit-for-bit identical
+// results to independent per-cell runs — the invariant that lets every
+// figure share one lockstep path.
 func TestRunAllBatchedMatchesUnbatched(t *testing.T) {
 	grid := func() []jobSpec {
 		var jobs []jobSpec
@@ -31,15 +48,9 @@ func TestRunAllBatchedMatchesUnbatched(t *testing.T) {
 	o := engineOptions(21_101)
 	o.Workloads = nil
 	o.Simpoints = 2
-	want, err := o.runAll(grid())
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := independentRuns(t, o, grid())
 
-	// Fresh cache so the batched path actually simulates.
-	FlushResultCache()
 	ob := o
-	ob.Batch = true
 	ob.Parallelism = 3
 	got, err := ob.runAll(grid())
 	if err != nil {
@@ -47,11 +58,11 @@ func TestRunAllBatchedMatchesUnbatched(t *testing.T) {
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Errorf("cell %d: batched result differs\n got: %+v\nwant: %+v", i, got[i], want[i])
+			t.Errorf("cell %d: engine result differs from independent run\n got: %+v\nwant: %+v", i, got[i], want[i])
 		}
 	}
 
-	// Third pass: everything must come from the in-memory cache
+	// Second pass: everything must come from the in-memory cache
 	// (duplicate keys resolved without simulating).
 	var lines []string
 	var mu sync.Mutex
@@ -68,11 +79,11 @@ func TestRunAllBatchedMatchesUnbatched(t *testing.T) {
 }
 
 // TestBatchedSingleflightInterop runs the same keys concurrently
-// through a batched and an unbatched engine call: the batch claims
-// whole key groups as one writer, the per-cell runner must either win
-// a key or wait on the batch, and both must agree bit-for-bit. Under
-// -race this is the regression test for the one-writer-per-batch
-// locking in the engine's batch-grouping path.
+// through two engine calls of different widths: each batch claims
+// whole key groups as one writer, so every key is either simulated by
+// one call or waited on by the other, and both must agree bit-for-bit
+// with independent runs. Under -race this is the regression test for
+// the one-writer-per-batch locking in the engine's grouping path.
 func TestBatchedSingleflightInterop(t *testing.T) {
 	o := engineOptions(21_102)
 	grid := func() []jobSpec {
@@ -82,6 +93,7 @@ func TestBatchedSingleflightInterop(t *testing.T) {
 		}
 		return jobs
 	}
+	want := independentRuns(t, o, grid())
 
 	var wg sync.WaitGroup
 	results := make([][]sim.Result, 2)
@@ -91,7 +103,7 @@ func TestBatchedSingleflightInterop(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			oo := o
-			oo.Batch = i == 0
+			oo.Parallelism = i + 1
 			results[i], errs[i] = oo.runAll(grid())
 		}(i)
 	}
@@ -99,16 +111,18 @@ func TestBatchedSingleflightInterop(t *testing.T) {
 	if err := errors.Join(errs...); err != nil {
 		t.Fatal(err)
 	}
-	for i := range results[0] {
-		if results[0][i] != results[1][i] {
-			t.Errorf("cell %d: batched and unbatched concurrent runs disagree", i)
+	for _, res := range results {
+		for i := range want {
+			if res[i] != want[i] {
+				t.Errorf("cell %d: concurrent engine run differs from independent run", i)
+			}
 		}
 	}
 }
 
 // TestRunDescriptorsBatchedCoalesces merges two descriptor jobs sharing
 // a workload image into one pool and asserts per-job results match
-// independent unbatched runs, including the cross-job dedup of an
+// separate descriptor runs, including the cross-job dedup of an
 // identical cell.
 func TestRunDescriptorsBatchedCoalesces(t *testing.T) {
 	mk := func(name string, instrs uint64, labels ...string) *Descriptor {

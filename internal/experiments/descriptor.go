@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -380,19 +381,18 @@ func CellKey(d *Descriptor, workloadName string, cs ConfigSpec) string {
 }
 
 // RunDescriptorObserved is RunDescriptor with obsOpts's observability
-// knobs (Interval, Metrics, OnSample) applied to every simulated cell,
-// obsOpts.Context cancelling the grid, and obsOpts.Batch selecting the
-// lockstep-batched engine path. Other obsOpts fields (Instructions,
-// Warmup, Simpoints, Workloads) are ignored — the descriptor owns
-// those. A zero obsOpts degrades to the plain runner.
+// knobs (Interval, Metrics, OnSample, OnSpan, Store) applied to every
+// simulated cell and obsOpts.Context cancelling the grid. Other obsOpts
+// fields (Instructions, Warmup, Simpoints, Workloads) are ignored — the
+// descriptor owns those. A zero obsOpts degrades to the plain runner.
 //
-// Cells run through the engine's memoized, store-backed path
-// (Options.run): identical cells across descriptors, figures, or
+// Cells run through the engine's memoized, store-backed lockstep path
+// (runCellsBatched): identical cells across descriptors, figures, or
 // concurrent daemon jobs simulate once, and when a persistent result
 // store is installed, previously computed cells load from disk. Cached
 // and store-served cells emit no interval samples (nothing simulates).
 func RunDescriptorObserved(d *Descriptor, progress func(string), parallelism int, obsOpts Options) ([]DescriptorResult, error) {
-	out, errs := runDescriptorGrids([]DescriptorJob{{D: d, Progress: progress, Opts: obsOpts}}, parallelism)
+	out, errs := RunDescriptorsBatched(nil, []DescriptorJob{{D: d, Progress: progress, Opts: obsOpts}}, parallelism)
 	if errs[0] != nil {
 		return nil, errs[0]
 	}
@@ -400,7 +400,7 @@ func RunDescriptorObserved(d *Descriptor, progress func(string), parallelism int
 }
 
 // DescriptorJob pairs one descriptor with its per-job progress sink and
-// engine options (observability hooks, context, Batch).
+// engine options (observability hooks, context, store).
 type DescriptorJob struct {
 	D        *Descriptor
 	Progress func(string)
@@ -408,125 +408,82 @@ type DescriptorJob struct {
 }
 
 // RunDescriptorsBatched executes several descriptor grids as one merged
-// cell pool with lockstep batching forced on — the daemon's
-// job-coalescing entry point: queued jobs that share a workload image
-// land in the same batches, so their streams are produced once across
-// jobs, not once per job. Results and errors are per job, in input
-// order; per-job observability hooks and progress sinks are preserved
-// per cell. ctx (when non-nil) overrides every job's own context — the
-// caller owns merged-cancellation policy.
+// cell pool — the daemon's job-coalescing entry point: queued jobs that
+// share a workload image land in the same lockstep batches, so their
+// streams are produced once across jobs, not once per job. Results and
+// errors are per job, in input order; per-job observability hooks and
+// progress sinks are preserved per cell. ctx (when non-nil) overrides
+// every job's own context — the caller owns merged-cancellation policy.
 func RunDescriptorsBatched(ctx context.Context, jobs []DescriptorJob, parallelism int) ([][]DescriptorResult, []error) {
-	for i := range jobs {
-		jobs[i].Opts.Batch = true
-		if ctx != nil {
-			jobs[i].Opts.Context = ctx
-		}
-	}
-	return runDescriptorGrids(jobs, parallelism)
-}
-
-// runDescriptorGrids is the shared descriptor engine: it materializes
-// every job's (workload × config) grid, runs the merged pool — batched
-// (one lockstep group per workload image, spanning jobs) when any job
-// asks for it, per-cell otherwise — and splits results back per job.
-func runDescriptorGrids(jobs []DescriptorJob, parallelism int) ([][]DescriptorResult, []error) {
 	type cell struct {
 		job      int
 		workload string
 		spec     ConfigSpec
-		opts     Options
 	}
 	var cells []cell
-	batch := false
-	jobOpts := make([]Options, len(jobs))
+	var bcells []batchCell
 	for j, job := range jobs {
 		d := job.D
 		// Per-cell engine options: the descriptor's effort knobs, the
 		// caller's observability hooks, no engine-level progress (the
-		// descriptor layer prints its own labeled lines below).
-		jobOpts[j] = Options{
+		// descriptor layer prints its own labeled line as each cell
+		// completes).
+		opts := Options{
 			Instructions: d.Instructions,
 			Warmup:       d.Warmup,
 			Simpoints:    d.Simpoints,
-			Batch:        job.Opts.Batch,
-			Context:      job.Opts.Context,
+			Context:      cmp.Or(ctx, job.Opts.Context),
 			Interval:     job.Opts.Interval,
 			Metrics:      job.Opts.Metrics,
 			OnSample:     job.Opts.OnSample,
 			Store:        job.Opts.Store,
 			OnSpan:       job.Opts.OnSpan,
 		}
-		batch = batch || job.Opts.Batch
 		for _, w := range d.Workloads {
 			for _, cs := range d.Configs {
-				cells = append(cells, cell{job: j, workload: w, spec: cs, opts: jobOpts[j]})
+				cells = append(cells, cell{job: j, workload: w, spec: cs})
+				bcells = append(bcells, batchCell{
+					name: w, mech: sim.Mechanism(cs.Mechanism),
+					cfg: CellConfig(d, w, cs), opts: opts,
+				})
 			}
 		}
 	}
 	out := make([][]DescriptorResult, len(jobs))
-	errs := make([]error, len(jobs))
 	pos := make([]int, len(cells)) // cell index -> slot in its job's grid
 	for i, c := range cells {
 		pos[i] = len(out[c.job])
 		out[c.job] = append(out[c.job], DescriptorResult{Workload: c.workload, Label: c.spec.Label})
 	}
 
-	emit := func(i int, agg sim.Result) {
+	// The merged pool runs under the first job's context; per-cell
+	// waits use the same (a ctx override unified the contexts, and a
+	// single-job call has only its own).
+	cellErrs := make([]error, len(cells))
+	runCellsBatched(bcells[0].opts.ctx(), bcells, parallelism, func(i int, r sim.Result, err error) {
 		c := cells[i]
-		out[c.job][pos[i]].Result = agg
+		if err != nil {
+			cellErrs[i] = fmt.Errorf("experiments: %s/%s: %w", c.workload, c.spec.Label, err)
+			return
+		}
+		out[c.job][pos[i]].Result = r
 		if p := jobs[c.job].Progress; p != nil {
 			progressMu.Lock()
-			p(fmt.Sprintf("%s/%s: IPC %.4f", c.workload, c.spec.Label, agg.IPC))
+			p(fmt.Sprintf("%s/%s: IPC %.4f", c.workload, c.spec.Label, r.IPC))
 			progressMu.Unlock()
 		}
-	}
-
-	if batch {
-		bcells := make([]batchCell, len(cells))
-		for i, c := range cells {
-			bcells[i] = batchCell{
-				name: c.workload, mech: sim.Mechanism(c.spec.Mechanism),
-				cfg: CellConfig(jobs[c.job].D, c.workload, c.spec), opts: c.opts,
-			}
-		}
-		// The merged pool runs under the first job's context; per-cell
-		// waits use the same (RunDescriptorsBatched already unified the
-		// contexts, and a single-job call has only its own).
-		res, cerrs := runCellsBatched(cells[0].opts.ctx(), bcells, parallelism, nil)
-		perJob := make([][]error, len(jobs))
-		for i, c := range cells {
-			if cerrs[i] != nil {
-				perJob[c.job] = append(perJob[c.job],
-					fmt.Errorf("experiments: %s/%s: %w", c.workload, c.spec.Label, cerrs[i]))
-				continue
-			}
-			emit(i, res[i])
-		}
-		for j := range jobs {
-			if len(perJob[j]) > 0 {
-				out[j] = nil
-				errs[j] = errors.Join(perJob[j]...)
-			}
-		}
-		return out, errs
-	}
-
-	err := ForEachCtx(cells[0].opts.ctx(), len(cells), parallelism, func(i int) error {
-		c := cells[i]
-		cfg := CellConfig(jobs[c.job].D, c.workload, c.spec)
-		agg, err := c.opts.runConfig(c.workload, sim.Mechanism(c.spec.Mechanism), cfg)
-		if err != nil {
-			return fmt.Errorf("experiments: %s/%s: %w", c.workload, c.spec.Label, err)
-		}
-		emit(i, agg)
-		return nil
 	})
-	if err != nil {
-		// The per-cell path is only reached with a single job (multi-job
-		// pools force batching), so the joined grid error is the job's.
-		for j := range jobs {
-			errs[j] = err
+	perJob := make([][]error, len(jobs))
+	for i, err := range cellErrs {
+		if err != nil {
+			perJob[cells[i].job] = append(perJob[cells[i].job], err)
+		}
+	}
+	errs := make([]error, len(jobs))
+	for j := range jobs {
+		if len(perJob[j]) > 0 {
 			out[j] = nil
+			errs[j] = errors.Join(perJob[j]...)
 		}
 	}
 	return out, errs

@@ -14,18 +14,17 @@ import (
 
 // This file is the parallel run engine behind every figure/table
 // driver: the full (workload, mechanism, config) grid of a driver is
-// materialized as a job list up front and executed on a bounded worker
-// pool, while results are collected positionally so the output order —
-// and therefore every rendered table, series and CSV — is byte-for-byte
-// identical at any parallelism.
+// materialized as a cell list up front and executed in lockstep groups
+// on a bounded worker pool, while results are collected positionally
+// so the output order — and therefore every rendered table, series and
+// CSV — is byte-for-byte identical at any parallelism.
 //
 // The process-wide result cache is singleflighted: when two concurrent
-// jobs (or two figures sharing a baseline) request the same canonical
+// grids (or two figures sharing a baseline) request the same canonical
 // config key, the second blocks on the first runner instead of
 // simulating the same deterministic region twice. Waiters never
-// deadlock the pool: an in-flight entry only exists once its runner
-// already occupies a worker slot, so every waiter's dependency is
-// guaranteed to be executing.
+// deadlock: a runner simulates every key it claimed before it waits on
+// anyone else's, so every waiter's dependency makes progress.
 
 // resultCache memoizes completed runs process-wide: several figures
 // share configurations (every speedup figure needs the same baselines,
@@ -65,29 +64,17 @@ type jobSpec struct {
 // grid at once. Cancellation (Options.Context) both skips cells that
 // have not started and stops in-flight machines cooperatively.
 func (o Options) runAll(jobs []jobSpec) ([]sim.Result, error) {
-	results := make([]sim.Result, len(jobs))
-	workers := o.parallelism()
 	// Live grid-cell progress for the expvar endpoint (/debug/vars).
 	obs.JobsTotal.Add(int64(len(jobs)))
-	if o.Batch {
-		cells := make([]batchCell, len(jobs))
-		for i, j := range jobs {
-			cells[i] = batchCell{
-				name: j.app, mech: j.mech,
-				cfg: o.cellConfig(j.app, j.mech, j.mutate), opts: o,
-			}
+	cells := make([]batchCell, len(jobs))
+	for i, j := range jobs {
+		cells[i] = batchCell{
+			name: j.app, mech: j.mech,
+			cfg: o.cellConfig(j.app, j.mech, j.mutate), opts: o,
 		}
-		res, errs := runCellsBatched(o.ctx(), cells, workers, func() { obs.JobsDone.Add(1) })
-		copy(results, res)
-		return results, errors.Join(errs...)
 	}
-	err := ForEachCtx(o.ctx(), len(jobs), workers, func(i int) error {
-		var err error
-		results[i], err = o.run(jobs[i].app, jobs[i].mech, jobs[i].mutate)
-		obs.JobsDone.Add(1)
-		return err
-	})
-	return results, err
+	res, errs := runCellsBatched(o.ctx(), cells, o.parallelism(), func(int, sim.Result, error) { obs.JobsDone.Add(1) })
+	return res, errors.Join(errs...)
 }
 
 // maxBatchSize caps how many machines share one lockstep batch. Past
@@ -95,10 +82,10 @@ func (o Options) runAll(jobs []jobSpec) ([]sim.Result, error) {
 // eat the locality win, and 16 matches the headline 16-config sweep.
 const maxBatchSize = 16
 
-// batchCell is one grid cell of a batched run: its identity for
-// progress lines, its full config, and the Options owning its cache
-// behaviour and observability hooks (cells of a coalesced daemon group
-// carry different Options).
+// batchCell is one grid cell: its identity for progress lines, its
+// full config, and the Options owning its cache behaviour and
+// observability hooks (cells of a coalesced daemon group carry
+// different Options).
 type batchCell struct {
 	name string
 	mech sim.Mechanism
@@ -106,25 +93,25 @@ type batchCell struct {
 	opts Options
 }
 
-// runCellsBatched is the batched counterpart of per-cell Options.run:
-// it resolves every cell against the memoized cache, the in-flight
-// table, and the persistent store exactly like runConfig does, then
-// groups the cells that actually need simulating by workload image and
-// runs each group in lockstep over one shared stream. The singleflight
-// protocol inverts from one-writer-per-cell to one-writer-per-batch:
-// this call claims every key it will simulate up front (so concurrent
-// unbatched or batched runners wait on it), publishes each key as its
-// batch completes, and only then waits for keys claimed by others —
-// claimed keys always belong to a runner already executing, so the
-// wait graph stays acyclic. onCellDone (if non-nil) fires once per
-// finalized cell (the expvar progress counter).
-func runCellsBatched(ctx context.Context, cells []batchCell, workers int, onCellDone func()) ([]sim.Result, []error) {
+// runCellsBatched is the engine's one execution path. It resolves every
+// cell against the memoized cache, the in-flight table, and the
+// persistent store, then groups the cells that actually need
+// simulating by workload image and runs each group in lockstep over
+// one shared stream. The singleflight protocol is one writer per
+// batch: this call claims every key it will simulate up front (so
+// concurrent runners wait on it), publishes each key as its batch
+// completes, and only then waits for keys claimed by others — claimed
+// keys always belong to a runner already executing, so the wait graph
+// stays acyclic. onCellDone (if non-nil) fires once per finalized cell,
+// in completion order, possibly from concurrent goroutines. workers <= 0
+// means GOMAXPROCS.
+func runCellsBatched(ctx context.Context, cells []batchCell, workers int, onCellDone func(i int, r sim.Result, err error)) ([]sim.Result, []error) {
 	n := len(cells)
 	results := make([]sim.Result, n)
 	errs := make([]error, n)
-	done := func(int) {
+	done := func(i int) {
 		if onCellDone != nil {
-			onCellDone()
+			onCellDone(i, results[i], errs[i])
 		}
 	}
 
@@ -135,10 +122,10 @@ func runCellsBatched(ctx context.Context, cells []batchCell, workers int, onCell
 		call  *resultCall
 		cells []int
 	}
-	var claimed []*group              // keys this call simulates, in first-cell order
-	byKey := map[string]*group{}      // claimed groups
-	waiting := map[int]*resultCall{}  // cell -> another runner's inflight entry
-	cached := map[int]sim.Result{}    // cells served from the in-memory cache
+	var claimed []*group             // keys this call simulates, in first-cell order
+	byKey := map[string]*group{}     // claimed groups
+	waiting := map[int]*resultCall{} // cell -> another runner's inflight entry
+	cached := map[int]sim.Result{}   // cells served from the in-memory cache
 
 	resultMu.Lock()
 	for i, c := range cells {
@@ -209,72 +196,66 @@ func runCellsBatched(ctx context.Context, cells []batchCell, workers int, onCell
 	}
 
 	// Group the remaining work by (workload image, simpoint count) —
-	// the identity of the shared stream — and run each group's configs
-	// in lockstep, maxBatchSize machines at a time.
-	type imageGroup struct {
-		key    string
-		groups []*group
-	}
-	var images []*imageGroup
-	byImage := map[string]*imageGroup{}
+	// the identity of the shared stream — into lockstep chunks of at
+	// most maxBatchSize machines.
+	var chunks [][]*group
+	open := map[string]int{} // image key -> index of its newest chunk
 	for _, g := range toRun {
 		c := cells[g.cells[0]]
 		ik := fmt.Sprintf("%s|sp=%d", sim.SourceKey(c.cfg), c.opts.simpoints())
-		ig, ok := byImage[ik]
-		if !ok {
-			ig = &imageGroup{key: ik}
-			byImage[ik] = ig
-			images = append(images, ig)
+		ci, ok := open[ik]
+		if !ok || len(chunks[ci]) == maxBatchSize {
+			ci = len(chunks)
+			open[ik] = ci
+			chunks = append(chunks, nil)
 		}
-		ig.groups = append(ig.groups, g)
+		chunks[ci] = append(chunks[ci], g)
 	}
-	for _, ig := range images {
-		for lo := 0; lo < len(ig.groups); lo += maxBatchSize {
-			hi := lo + maxBatchSize
-			if hi > len(ig.groups) {
-				hi = len(ig.groups)
+	runChunk := func(chunk []*group, parallelism int) {
+		if err := ctx.Err(); err != nil {
+			for _, g := range chunk {
+				finish(g, sim.Result{}, err)
 			}
-			chunk := ig.groups[lo:hi]
-			if err := ctx.Err(); err != nil {
-				for _, g := range chunk {
-					finish(g, sim.Result{}, err)
-				}
-				continue
-			}
-			cfgs := make([]sim.Config, len(chunk))
-			atts := make([]func(int, *sim.Machine), len(chunk))
-			for k, g := range chunk {
-				c := cells[g.cells[0]]
-				cfgs[k] = c.cfg
-				atts[k] = c.opts.attachCell(c.name, c.mech)
-			}
-			res, rerrs := sim.RunBatchSimpoints(ctx, cfgs, cells[chunk[0].cells[0]].opts.simpoints(), workers,
-				func(region, k int, m *sim.Machine) {
-					if atts[k] != nil {
-						atts[k](region, m)
-					}
-				})
-			for k, g := range chunk {
-				if rerrs[k] != nil {
-					finish(g, sim.Result{}, rerrs[k])
-					continue
-				}
-				c := cells[g.cells[0]]
-				spanStore := c.opts.spanStore()
-				writeStart := time.Now()
-				c.opts.storeSave(g.key, res[k])
-				if spanStore {
-					c.opts.OnSpan(obs.Span{Name: "store-write", Start: writeStart, End: time.Now(),
-						Args: map[string]any{"key": g.key}})
-				}
-				finish(g, res[k], nil)
-				c.opts.progress("%s/%s ftq=%d: IPC %.4f", c.name, c.mech, res[k].FinalFTQDepth, res[k].IPC)
-			}
+			return
 		}
+		cfgs := make([]sim.Config, len(chunk))
+		atts := make([]func(int, *sim.Machine), len(chunk))
+		for k, g := range chunk {
+			c := cells[g.cells[0]]
+			cfgs[k] = c.cfg
+			atts[k] = c.opts.attachCell(c.name, c.mech)
+		}
+		res, rerrs := sim.RunBatchSimpoints(ctx, cfgs, cells[chunk[0].cells[0]].opts.simpoints(), parallelism,
+			func(region, k int, m *sim.Machine) {
+				if atts[k] != nil {
+					atts[k](region, m)
+				}
+			})
+		// Store write-back (a synced file each) runs on the chunk's own
+		// workers, as many cells at once as it simulated side by side.
+		_ = ForEach(len(chunk), parallelism, func(k int) error {
+			g := chunk[k]
+			if rerrs[k] != nil {
+				finish(g, sim.Result{}, rerrs[k])
+				return nil
+			}
+			c := cells[g.cells[0]]
+			spanStore := c.opts.spanStore()
+			writeStart := time.Now()
+			c.opts.storeSave(g.key, res[k])
+			if spanStore {
+				c.opts.OnSpan(obs.Span{Name: "store-write", Start: writeStart, End: time.Now(),
+					Args: map[string]any{"key": g.key}})
+			}
+			finish(g, res[k], nil)
+			c.opts.progress("%s/%s ftq=%d: IPC %.4f", c.name, c.mech, res[k].FinalFTQDepth, res[k].IPC)
+			return nil
+		})
 	}
+	runChunks(chunks, workers, runChunk)
 
 	// Finally resolve cells whose keys another runner claimed. That
-	// runner held a worker slot before we claimed anything, so it
+	// runner simulates its claims before waiting on anyone, so it
 	// completes (or cancels) independently of us.
 	for i, call := range waiting {
 		obs.CacheInflightWaits.Add(1)
@@ -298,12 +279,42 @@ func runCellsBatched(ctx context.Context, cells []batchCell, workers int, onCell
 	return results, errs
 }
 
+// runChunks runs run(chunk, width) for every lockstep chunk on one
+// budget of workers tokens (<= 0 means GOMAXPROCS). Each chunk takes as
+// many tokens as it has machines, capped at the budget, and runs with
+// that many lockstep workers, so chunks of different images run side
+// by side whenever the budget has room. Tokens are taken by the calling
+// goroutine alone, in chunk order, so no two chunks ever hold partial
+// shares.
+func runChunks[T any](chunks [][]T, workers int, run func(chunk []T, width int)) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	tokens := make(chan struct{}, workers)
+	var wg sync.WaitGroup
+	for _, chunk := range chunks {
+		width := min(len(chunk), workers)
+		for range width {
+			tokens <- struct{}{}
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run(chunk, width)
+			for range width {
+				<-tokens
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // ForEach runs fn(i) for i in [0, n) on a bounded worker pool of the
 // given width (<= 0 means GOMAXPROCS, 1 runs serially) and aggregates
-// all errors — the engine primitive for grids whose per-cell work is
-// not a plain Options.run call (Table I's trace characterization,
-// descriptor cells, cmd/sweep's grid). fn must write its result into
-// slot i of a caller-owned slice so output order stays deterministic.
+// all errors — the pool primitive beside the lockstep runner (a chunk's
+// store write-back, Table I's trace characterization). fn must write
+// its result into slot i of a caller-owned slice so output order stays
+// deterministic.
 func ForEach(n, workers int, fn func(int) error) error {
 	return ForEachCtx(context.Background(), n, workers, fn)
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"udpsim/internal/sim"
 )
@@ -153,6 +154,43 @@ func TestForEach(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("errors swallowed")
+	}
+}
+
+// TestRunChunksWidths pins the engine's chunk scheduling on a shared
+// worker budget: an uneven [16, 1] grid at 2 workers gives the big chunk
+// both workers (it does not shrink to the smallest chunk's width), and
+// four single-machine chunks at 2 workers run two at a time.
+func TestRunChunksWidths(t *testing.T) {
+	var mu sync.Mutex
+	widths := map[int]int{}
+	runChunks([][]int{make([]int, 16), make([]int, 1)}, 2, func(chunk []int, width int) {
+		mu.Lock()
+		widths[len(chunk)] = width
+		mu.Unlock()
+	})
+	if widths[16] != 2 || widths[1] != 1 {
+		t.Errorf("[16,1] at 2 workers: widths %v, want 16:2 1:1", widths)
+	}
+
+	// The first two chunks only return once both are running, so a
+	// scheduler that ran them one after the other would hang here.
+	var pair sync.WaitGroup
+	pair.Add(2)
+	done := make(chan struct{})
+	go func() {
+		runChunks([][]int{{0}, {1}, {2}, {3}}, 2, func(chunk []int, width int) {
+			if chunk[0] < 2 {
+				pair.Done()
+				pair.Wait()
+			}
+		})
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("single-machine chunks did not run side by side")
 	}
 }
 

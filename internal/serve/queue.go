@@ -496,11 +496,7 @@ func (s *Scheduler) worker() {
 		if j == nil {
 			return
 		}
-		if group := s.coalesce(j); len(group) > 1 {
-			s.runGroup(group)
-		} else {
-			s.runJob(j)
-		}
+		s.runGroup(s.coalesce(j))
 	}
 }
 
@@ -551,11 +547,12 @@ func sharesImage(a, b *experiments.Descriptor) bool {
 // canceled while queued are left for the dequeue path to skip.
 func (s *Scheduler) coalesce(head *Job) []*Job {
 	group := []*Job{head}
-	if s.cfg.RunGroup == nil || s.cfg.MaxCoalesce <= 1 {
-		return group
-	}
 	mergeStart := time.Now()
 	s.mu.Lock()
+	if s.cfg.RunGroup == nil || s.cfg.MaxCoalesce <= 1 {
+		s.mu.Unlock()
+		return group
+	}
 	for _, client := range s.order {
 		q := s.queues[client]
 		kept := q[:0]
@@ -595,6 +592,13 @@ func (s *Scheduler) coalesce(head *Job) []*Job {
 	return group
 }
 
+// setMaxCoalesce changes the merge cap for subsequent dequeues.
+func (s *Scheduler) setMaxCoalesce(n int) {
+	s.mu.Lock()
+	s.cfg.MaxCoalesce = n
+	s.mu.Unlock()
+}
+
 // dropEmptyQueuesLocked removes clients whose queues coalescing
 // emptied, keeping the rotation cursor on the client it pointed at.
 // Caller holds s.mu.
@@ -621,12 +625,12 @@ func (s *Scheduler) dropEmptyQueuesLocked() {
 	}
 }
 
-// runGroup executes coalesced jobs as one merged batched run. The
-// group shares one context: canceling a single ride-along job must not
-// kill the other clients' jobs, so the shared context is canceled only
-// once every job in the group has asked (timeout and forced drain
-// still cancel it directly). A job canceled mid-run whose results
-// complete anyway finishes Done, same as the single-job race.
+// runGroup executes a dequeued group: a lone job through Run, coalesced
+// jobs as one merged RunGroup call. The group shares one context:
+// canceling a single ride-along job must not kill the other clients'
+// jobs, so the shared context is canceled only once every job in the
+// group has asked (timeout and forced drain still cancel it directly).
+// A job canceled mid-run whose results complete anyway finishes Done.
 func (s *Scheduler) runGroup(group []*Job) {
 	base := context.Background()
 	ctx, cancel := context.WithCancel(base)
@@ -680,9 +684,16 @@ func (s *Scheduler) runGroup(group []*Job) {
 		ids[i] = j.ID
 		j.hub.publish("started", j.view(false))
 	}
-	s.cfg.Log.Info("job group started", "ids", ids, "coalesced", len(live))
-
-	results, errs := s.cfg.RunGroup(ctx, live)
+	var results [][]experiments.DescriptorResult
+	var errs []error
+	if len(live) == 1 {
+		s.cfg.Log.Info("job started", "id", live[0].ID, "name", live[0].Name)
+		res, err := s.cfg.Run(ctx, live[0])
+		results, errs = [][]experiments.DescriptorResult{res}, []error{err}
+	} else {
+		s.cfg.Log.Info("job group started", "ids", ids, "coalesced", len(live))
+		results, errs = s.cfg.RunGroup(ctx, live)
+	}
 
 	s.mu.Lock()
 	for _, j := range live {
@@ -703,45 +714,7 @@ func (s *Scheduler) runGroup(group []*Job) {
 	}
 }
 
-func (s *Scheduler) runJob(j *Job) {
-	base := context.Background()
-	ctx, cancel := context.WithCancel(base)
-	if s.cfg.JobTimeout > 0 {
-		ctx, cancel = context.WithTimeout(base, s.cfg.JobTimeout)
-	}
-	defer cancel()
-
-	j.mu.Lock()
-	if j.cancelAsked { // canceled between dequeue and start
-		j.mu.Unlock()
-		j.finish(JobCanceled, nil, "canceled")
-		return
-	}
-	j.state = JobRunning
-	j.started = time.Now()
-	j.cancelRun = cancel
-	created, started := j.created, j.started
-	j.mu.Unlock()
-	s.noteStarted(j, created, started)
-
-	s.mu.Lock()
-	s.running[j.ID] = j
-	s.mu.Unlock()
-
-	j.hub.publish("started", j.view(false))
-	s.cfg.Log.Info("job started", "id", j.ID, "name", j.Name)
-
-	results, err := s.cfg.Run(ctx, j)
-
-	s.mu.Lock()
-	delete(s.running, j.ID)
-	s.mu.Unlock()
-
-	s.finishRun(j, results, err)
-}
-
-// finishRun maps a run's outcome to the job's terminal state — shared
-// by the single-job and coalesced-group paths.
+// finishRun maps a run's outcome to the job's terminal state.
 func (s *Scheduler) finishRun(j *Job, results []experiments.DescriptorResult, err error) {
 	j.mu.Lock()
 	j.cancelRun = nil

@@ -37,14 +37,12 @@ type ServerConfig struct {
 	// Interval is the obs sampling interval in cycles for the SSE
 	// event stream (0 disables "sample" events; default 10000).
 	Interval uint64
-	// Batch enables lockstep batching: each job's grid cells sharing a
-	// workload image step over one shared instruction stream, and
-	// queued jobs sharing an image are coalesced into one merged
-	// batched run. Results are bit-identical to unbatched runs — this
-	// is a pure throughput knob.
-	Batch bool
-	// MaxCoalesce caps how many queued jobs one batched run may merge
-	// (only meaningful with Batch; default 4).
+	// MaxCoalesce caps how many queued jobs sharing a workload image
+	// one merged lockstep run may absorb; <= 1 (the default) runs every
+	// job alone. Results are bit-identical either way — this is a pure
+	// throughput knob. Coalescing is off while a runner override
+	// (Runner, SetRunner) is installed: the override executes jobs one
+	// at a time.
 	MaxCoalesce int
 	// Transport, when set, replaces Store as the engine's read-through
 	// layer (cluster nodes install a PeerStore here; the local Store
@@ -100,26 +98,20 @@ func NewServer(cfg ServerConfig) *Server {
 	if cfg.Interval == 0 {
 		cfg.Interval = 10_000
 	}
-	if cfg.Batch && cfg.MaxCoalesce == 0 {
-		cfg.MaxCoalesce = 4
-	}
 	s := &Server{cfg: cfg, log: cfg.Log, startedAt: time.Now(),
 		spans:   obs.NewSpanRecorder(spanRecorderCapacity),
 		members: cfg.Members, transport: cfg.Transport, runner: cfg.Runner,
 		tunes: map[string]*TuneRun{}}
-	scfg := SchedulerConfig{
-		Workers:    cfg.Workers,
-		MaxQueue:   cfg.MaxQueue,
-		JobTimeout: cfg.JobTimeout,
-		Run:        s.runJob,
-		OnSpan:     s.spans.Record,
-		Log:        cfg.Log,
-	}
-	if cfg.Batch {
-		scfg.RunGroup = s.runJobGroup
-		scfg.MaxCoalesce = cfg.MaxCoalesce
-	}
-	s.sched = NewScheduler(scfg)
+	s.sched = NewScheduler(SchedulerConfig{
+		Workers:     cfg.Workers,
+		MaxQueue:    cfg.MaxQueue,
+		JobTimeout:  cfg.JobTimeout,
+		Run:         s.runJob,
+		RunGroup:    s.runJobGroup,
+		MaxCoalesce: s.coalesceLimit(cfg.Runner),
+		OnSpan:      s.spans.Record,
+		Log:         cfg.Log,
+	})
 	s.ready.Store(true)
 	return s
 }
@@ -147,6 +139,17 @@ func (s *Server) SetRunner(r JobRunner) {
 	s.clusterMu.Lock()
 	s.runner = r
 	s.clusterMu.Unlock()
+	s.sched.setMaxCoalesce(s.coalesceLimit(r))
+}
+
+// coalesceLimit is the scheduler's merge cap under runner override r:
+// a merged group runs on the local engine, so nothing may merge while
+// an override must see every job.
+func (s *Server) coalesceLimit(r JobRunner) int {
+	if r != nil {
+		return 1
+	}
+	return s.cfg.MaxCoalesce
 }
 
 // Members returns the node's cluster view (nil on single-node setups).
@@ -218,7 +221,6 @@ func (s *Server) runLocal(ctx context.Context, j *Job) ([]experiments.Descriptor
 	opts := experiments.Options{
 		Context:  ctx,
 		Interval: s.cfg.Interval,
-		Batch:    s.cfg.Batch,
 		Store:    s.resultTransport(),
 		OnSample: func(sample obs.IntervalSample) { j.hub.publish("sample", sample) },
 		OnSpan:   s.jobSpanSink(j),

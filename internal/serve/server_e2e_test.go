@@ -416,12 +416,13 @@ func waitJobState(t *testing.T, c *client.Client, id string, want serve.JobState
 }
 
 // TestServerCoalescedBatchRun drives the real path end to end: a
-// -batch daemon with one worker coalesces two queued jobs sharing the
-// mysql image into one lockstep-batched run, splits the results back
-// per job, and the cell both jobs share comes out identical.
+// coalescing daemon (MaxCoalesce 4) with one worker merges two queued
+// jobs sharing the mysql image into one lockstep run, splits the
+// results back per job, and the cell both jobs share comes out
+// identical.
 func TestServerCoalescedBatchRun(t *testing.T) {
 	experiments.FlushResultCache()
-	_, c, stop := newTestDaemon(t, "", serve.ServerConfig{Workers: 1, Batch: true})
+	_, c, stop := newTestDaemon(t, "", serve.ServerConfig{Workers: 1, MaxCoalesce: 4})
 	defer stop()
 
 	coalescedBefore := obs.DaemonJobsCoalesced.Value()
@@ -480,6 +481,65 @@ func TestServerCoalescedBatchRun(t *testing.T) {
 	}
 	if d := obs.DaemonJobsCoalesced.Value() - coalescedBefore; d != 1 {
 		t.Fatalf("jobs coalesced = %d, want 1 (job b absorbed into job a's run)", d)
+	}
+}
+
+// TestServerCoalescingHonoursRunner pins that a runner override sees
+// every job even when coalescing is configured: queued jobs sharing an
+// image would otherwise merge into one local lockstep run and never
+// reach the runner (a coordinator's forwarder). Both ways of
+// installing the override are covered.
+func TestServerCoalescingHonoursRunner(t *testing.T) {
+	for _, viaSet := range []bool{false, true} {
+		t.Run(fmt.Sprintf("SetRunner=%v", viaSet), func(t *testing.T) {
+			release := make(chan struct{})
+			var mu sync.Mutex
+			var seen []string
+			runner := serve.RunnerFunc(func(ctx context.Context, j *serve.Job) ([]experiments.DescriptorResult, error) {
+				mu.Lock()
+				first := len(seen) == 0
+				seen = append(seen, j.ID)
+				mu.Unlock()
+				if first {
+					<-release // hold the lone worker while the rest queue
+				}
+				return []experiments.DescriptorResult{{Workload: "mysql", Label: "base"}}, nil
+			})
+			cfg := serve.ServerConfig{Workers: 1, MaxCoalesce: 4}
+			if !viaSet {
+				cfg.Runner = runner
+			}
+			srv, c, stop := newTestDaemon(t, "", cfg)
+			defer stop()
+			if viaSet {
+				srv.SetRunner(runner)
+			}
+
+			var ids []string
+			for i := 0; i < 4; i++ {
+				v, err := c.Submit(context.Background(),
+					descriptorJSON(fmt.Sprintf("runner-%v-%d", viaSet, i), uint64(64_100+i)), client.SubmitOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				ids = append(ids, v.ID)
+			}
+			close(release)
+			for _, id := range ids {
+				v, err := c.Wait(context.Background(), id)
+				if err != nil {
+					t.Fatalf("wait %s: %v", id, err)
+				}
+				if v.State != serve.JobDone {
+					t.Fatalf("job %s state %s (err %q), want done", id, v.State, v.Error)
+				}
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if len(seen) != len(ids) {
+				t.Fatalf("runner received %d of %d jobs: %v", len(seen), len(ids), seen)
+			}
+		})
 	}
 }
 

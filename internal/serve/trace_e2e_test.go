@@ -165,13 +165,13 @@ func TestServerJobTraceEndToEnd(t *testing.T) {
 	}
 }
 
-// TestServerCoalescedTrace drives a -batch daemon the same way
+// TestServerCoalescedTrace drives a coalescing daemon the same way
 // TestServerCoalescedBatchRun does and checks the tracing overlay: the
 // head job's trace gains a coalesce-merge span naming the absorbed
 // job, and both jobs keep distinct trace IDs end to end.
 func TestServerCoalescedTrace(t *testing.T) {
 	experiments.FlushResultCache()
-	srv, c, stop := newTestDaemon(t, "", serve.ServerConfig{Workers: 1, Batch: true})
+	srv, c, stop := newTestDaemon(t, "", serve.ServerConfig{Workers: 1, MaxCoalesce: 4})
 	defer stop()
 
 	blockerDesc := []byte(`{

@@ -4,8 +4,11 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
+	"sync/atomic"
 
+	"udpsim/internal/frontend"
 	"udpsim/internal/isa"
 	"udpsim/internal/workload"
 )
@@ -21,11 +24,9 @@ import (
 // Scheduling keeps the machines' stream cursors close together
 // (smallest-cursor-first, in slices of batchStride cycles), which
 // bounds tape memory to the cursor spread of the group and keeps the
-// shared chunks hot in cache across machines. Per-machine run state —
-// phase, retire target, forward-progress limit, saved observer
-// interval — lives in structure-of-arrays form on the runner rather
-// than per-machine wrappers, so the scheduler's scan touches a few
-// dense slices instead of K scattered structs.
+// shared chunks hot in cache across machines. Each slice is one
+// Machine.advance call — the same warmup→measure loop RunCtx uses — so
+// the runner holds only scheduling state.
 //
 // Equivalence: each machine sees the byte-identical instruction stream,
 // step sequence, warmup/measure transition, and snapshot point it would
@@ -34,9 +35,10 @@ import (
 
 // batchStride is how many cycles a machine advances per scheduling
 // slice: large enough to amortize the scheduler scan and the tape
-// pre-extension lock, small enough to keep cursor spread (and therefore
-// resident tape memory) tight. Matches cancelCheckStride so cancellation
-// latency is the same as the unbatched loop's.
+// pre-extension lock and to keep a worker on one machine's working set,
+// small enough to keep cursor spread (and therefore resident tape
+// memory) tight. Matches cancelCheckStride so cancellation latency is
+// the same as RunCtx's.
 const batchStride = cancelCheckStride
 
 // SimpointSalt returns the seed salt selecting simpoint region i. The
@@ -46,19 +48,25 @@ const batchStride = cancelCheckStride
 // grouping, trace filenames).
 func SimpointSalt(i int) uint64 { return uint64(i+1) * 7919 }
 
+// PanicError is a model panic (no forward progress, a broken invariant,
+// a panicking hook) recovered at a lockstep cell boundary: it fails its
+// cell alone and keeps the panicking goroutine's stack for diagnosis.
+type PanicError struct {
+	Key   string // ConfigKey of the failed cell
+	Value any    // the value passed to panic
+	Stack []byte // runtime/debug.Stack at the recovery point
+}
+
+func (e *PanicError) Error() string { return fmt.Sprintf("sim: %s: panic: %v", e.Key, e.Value) }
+
 // batchRunner holds the shared tape and the per-machine scheduling
 // state for one lockstep group.
 type batchRunner struct {
+	cfgs    []Config
 	tape    *workload.Tape
 	ms      []*Machine             // nil where construction failed
-	readers []*workload.TapeReader // nil where construction failed
-
-	// Structure-of-arrays per-machine run state (hot scheduler data).
-	phase   []uint8  // 0 warmup, 1 measured, 2 done
-	target  []uint64 // retired-instruction count ending the phase
-	limit   []uint64 // forward-progress cycle bound for the phase
-	savedIv []uint64 // observer interval suppressed during warmup
-	consume []uint64 // max oracle records one cycle can consume
+	readers []*workload.TapeReader // nil without a tape
+	done    []bool                 // finished, failed or abandoned
 
 	res  []Result
 	errs []error
@@ -71,175 +79,118 @@ type batchRunner struct {
 	stopped error
 }
 
-const (
-	phaseWarmup   = 0
-	phaseMeasured = 1
-	phaseDone     = 2
-)
-
-// newBatchRunner builds the K machines over one shared tape. attach (if
-// non-nil) runs per machine after construction, before any stepping —
-// the observer hook, mirroring RunSimpointsCtx. Construction failures
-// land in errs; surviving machines still run.
-func newBatchRunner(cfgs []Config, prog *workload.Program, tape *workload.Tape, attach func(k int, m *Machine)) *batchRunner {
+// newBatchRunner builds the K machines over one shared tape (a nil tape
+// gives each machine its own source) on parallelism workers. attach (if
+// non-nil) runs per machine after construction, serially, before any
+// stepping — the observer hook, mirroring RunSimpointsCtx. Construction
+// failures land in errs; surviving machines still run.
+func newBatchRunner(cfgs []Config, prog *workload.Program, tape *workload.Tape, parallelism int, attach func(k int, m *Machine)) *batchRunner {
 	k := len(cfgs)
 	b := &batchRunner{
+		cfgs:    cfgs,
 		tape:    tape,
 		ms:      make([]*Machine, k),
 		readers: make([]*workload.TapeReader, k),
-		phase:   make([]uint8, k),
-		target:  make([]uint64, k),
-		limit:   make([]uint64, k),
-		savedIv: make([]uint64, k),
-		consume: make([]uint64, k),
+		done:    make([]bool, k),
 		res:     make([]Result, k),
 		errs:    make([]error, k),
 		claimed: make([]bool, k),
 	}
 	b.cond = sync.NewCond(&b.mu)
-	for i, cfg := range cfgs {
-		r := b.tape.Reader()
-		m, err := NewMachineWithSource(cfg, prog, r)
-		if err != nil {
-			b.errs[i] = err
-			b.phase[i] = phaseDone
-			r.Close()
+	if tape != nil {
+		// Every reader exists before anything consumes the tape.
+		for i := range b.readers {
+			b.readers[i] = tape.Reader()
+		}
+	}
+	// Construction (clearing cache arrays and predictor tables) costs
+	// as much as a short run, so the batch's workers build the machines
+	// side by side.
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(parallelism, k) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= k {
+					return
+				}
+				var src frontend.InstrSource
+				if b.readers[i] != nil {
+					src = b.readers[i]
+				}
+				b.ms[i], b.errs[i] = NewMachineWithSource(cfgs[i], prog, src)
+			}
+		}()
+	}
+	wg.Wait()
+	for i, m := range b.ms {
+		if b.errs[i] != nil {
+			b.finish(i)
 			continue
 		}
-		b.ms[i] = m
-		b.readers[i] = r
 		b.live++
 		if attach != nil {
 			attach(i, m)
-		}
-		b.consume[i] = uint64(cfg.BlocksPerCycle)*isa.InstrPerBlock + 1
-		maxInstr := cfg.MaxInstructions
-		if maxInstr == 0 {
-			maxInstr = 1_000_000
-		}
-		if w := cfg.WarmupInstructions; w > 0 {
-			b.phase[i] = phaseWarmup
-			b.target[i] = m.BE.Stats.Retired + w
-			b.limit[i] = m.cycle + w*400 + 1_000_000
-			// Suppress interval samples during warmup, exactly as
-			// Machine.RunCtx does.
-			if m.obs != nil {
-				b.savedIv[i], m.obs.Interval = m.obs.Interval, 0
-			}
-			m.notePhase("warmup")
-		} else {
-			b.phase[i] = phaseMeasured
-			b.target[i] = m.BE.Stats.Retired + maxInstr
-			b.limit[i] = m.cycle + maxInstr*400 + 1_000_000
-			m.notePhase("measure")
 		}
 	}
 	return b
 }
 
-// maybeTransition advances machine k across phase boundaries when its
-// retire target is met, replicating RunCtx's sequence exactly: warmup →
-// ResetStats, restore observer interval, arm the measured region;
-// measured → flush observer, snapshot, done. Returns true once done.
-func (b *batchRunner) maybeTransition(k int) bool {
+// advance runs one slice of machine k, snapshotting it once its run
+// completes. The tape is pre-extended past everything the slice can
+// consume, so the cycle loop itself allocates nothing — the zero-alloc
+// Machine.Step invariant holds in batch mode. A model panic fails this
+// cell alone instead of the batch or the process.
+func (b *batchRunner) advance(k int) {
+	defer func() {
+		if r := recover(); r != nil {
+			b.errs[k] = &PanicError{Key: ConfigKey(b.cfgs[k]), Value: r, Stack: debug.Stack()}
+			b.finish(k)
+		}
+	}()
 	m := b.ms[k]
-	for m.BE.Stats.Retired >= b.target[k] {
-		switch b.phase[k] {
-		case phaseWarmup:
-			m.ResetStats()
-			if m.obs != nil {
-				m.obs.Interval = b.savedIv[k]
-			}
-			maxInstr := m.cfg.MaxInstructions
-			if maxInstr == 0 {
-				maxInstr = 1_000_000
-			}
-			b.phase[k] = phaseMeasured
-			b.target[k] = m.BE.Stats.Retired + maxInstr
-			b.limit[k] = m.cycle + maxInstr*400 + 1_000_000
-			m.notePhase("measure")
-		case phaseMeasured:
-			m.obsFlush()
-			b.res[k] = m.Snapshot()
-			b.phase[k] = phaseDone
-			b.readers[k].Close()
-			m.notePhase("done")
-			return true
-		default:
-			return true
-		}
+	if b.tape != nil {
+		// A cycle consumes at most consume records, and a machine never
+		// reads further ahead of its retirement than the in-flight bound
+		// (frontend.OracleWindow), so a short run records little of a
+		// stream it will never read.
+		consume := uint64(m.cfg.BlocksPerCycle)*isa.InstrPerBlock + 1
+		ahead := min(batchStride*consume, m.toRetire()+frontend.OracleWindow)
+		b.tape.EnsureAhead(m.Oracle.Cursor() + ahead)
 	}
-	return false
-}
-
-// advance steps machine k for up to stride cycles (stopping early when
-// its run completes). The tape is pre-extended past everything the
-// slice can consume, so the cycle loop itself allocates nothing — the
-// zero-alloc Machine.Step invariant holds in batch mode.
-func (b *batchRunner) advance(k, stride int) {
-	if b.maybeTransition(k) {
-		return
-	}
-	m := b.ms[k]
-	b.tape.EnsureAhead(m.Oracle.Cursor() + uint64(stride)*b.consume[k])
-	for i := 0; i < stride; i++ {
-		m.Step()
-		if m.cycle > b.limit[k] {
-			panic(fmt.Sprintf("sim: no forward progress (retired %d of target %d at cycle %d)",
-				m.BE.Stats.Retired, b.target[k], m.cycle))
-		}
-		if m.BE.Stats.Retired >= b.target[k] && b.maybeTransition(k) {
-			return
-		}
+	if m.advance(batchStride) {
+		b.res[k] = m.Snapshot()
+		b.finish(k)
 	}
 }
 
-// cursor returns machine k's stream position (the scheduling key).
-func (b *batchRunner) cursor(k int) uint64 { return b.ms[k].Oracle.Cursor() }
+// finish marks machine k done and releases its hold on the tape.
+func (b *batchRunner) finish(k int) {
+	b.done[k] = true
+	if b.readers[k] != nil {
+		b.readers[k].Close()
+	}
+}
 
 // run drives every live machine to completion, smallest stream cursor
-// first. Serial below parallelism 2; otherwise a worker pool in which
-// each worker repeatedly claims the furthest-behind unclaimed machine.
-// ctx cancellation (polled once per slice, like the unbatched loop)
-// abandons unfinished machines with ctx.Err().
+// first, on parallelism workers (the calling goroutine is one), each of
+// which repeatedly claims the furthest-behind unclaimed machine. ctx
+// cancellation, polled once per slice like RunCtx's loop, abandons
+// unfinished machines with ctx.Err().
 func (b *batchRunner) run(ctx context.Context, parallelism int) {
 	poll := ctx.Done() != nil
-	if parallelism > b.live {
-		parallelism = b.live
-	}
-	if parallelism <= 1 {
-		for {
-			if poll {
-				if err := ctx.Err(); err != nil {
-					b.abandon(err)
-					return
-				}
-			}
-			k := -1
-			var best uint64
-			for i := range b.ms {
-				if b.phase[i] == phaseDone {
-					continue
-				}
-				if c := b.cursor(i); k < 0 || c < best {
-					k, best = i, c
-				}
-			}
-			if k < 0 {
-				return
-			}
-			b.advance(k, batchStride)
-		}
-	}
-
 	var wg sync.WaitGroup
-	for w := 0; w < parallelism; w++ {
+	for w := 1; w < min(parallelism, b.live); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			b.worker(ctx, poll)
 		}()
 	}
+	b.worker(ctx, poll)
 	wg.Wait()
 	if b.stopped != nil {
 		b.abandon(b.stopped)
@@ -248,7 +199,7 @@ func (b *batchRunner) run(ctx context.Context, parallelism int) {
 
 // worker claims the furthest-behind unclaimed live machine, advances it
 // one slice, and repeats until no live machines remain. Machine state is
-// only touched while claimed; phase[i] of an unclaimed machine is
+// only touched while claimed; done[i] of an unclaimed machine is
 // stable, so the scan under b.mu is race-free.
 func (b *batchRunner) worker(ctx context.Context, poll bool) {
 	b.mu.Lock()
@@ -259,11 +210,11 @@ func (b *batchRunner) worker(ctx context.Context, poll bool) {
 		}
 		k := -1
 		var best uint64
-		for i := range b.ms {
-			if b.claimed[i] || b.phase[i] == phaseDone {
+		for i, m := range b.ms {
+			if b.claimed[i] || b.done[i] {
 				continue
 			}
-			if c := b.cursor(i); k < 0 || c < best {
+			if c := m.Oracle.Cursor(); k < 0 || c < best {
 				k, best = i, c
 			}
 		}
@@ -287,11 +238,11 @@ func (b *batchRunner) worker(ctx context.Context, poll bool) {
 				return
 			}
 		}
-		b.advance(k, batchStride)
+		b.advance(k)
 
 		b.mu.Lock()
 		b.claimed[k] = false
-		if b.phase[k] == phaseDone {
+		if b.done[k] {
 			b.live--
 		}
 		b.cond.Broadcast()
@@ -301,10 +252,9 @@ func (b *batchRunner) worker(ctx context.Context, poll bool) {
 // abandon marks every unfinished machine with err (cancellation).
 func (b *batchRunner) abandon(err error) {
 	for i := range b.ms {
-		if b.ms[i] != nil && b.phase[i] != phaseDone {
+		if !b.done[i] {
 			b.errs[i] = err
-			b.phase[i] = phaseDone
-			b.readers[i].Close()
+			b.finish(i)
 		}
 	}
 }
@@ -355,7 +305,11 @@ func RunBatchCtx(ctx context.Context, cfgs []Config, parallelism int, attach fun
 		return fail(err)
 	}
 	var tape *workload.Tape
-	if cfgs[0].TraceRef != "" {
+	switch {
+	case len(cfgs) == 1:
+		// A batch of one shares nothing: its machine reads its own
+		// source, as under Machine.RunCtx, and nothing is recorded.
+	case cfgs[0].TraceRef != "":
 		// Trace-driven batch: the tape replays the registered source's
 		// recorded stream instead of a live executor, and everything
 		// downstream — lockstep scheduling, chunk trimming, equivalence
@@ -369,10 +323,10 @@ func RunBatchCtx(ctx context.Context, cfgs []Config, parallelism int, attach fun
 			return fail(err)
 		}
 		tape = workload.NewTapeFromStream(stream)
-	} else {
+	default:
 		tape = workload.NewTape(prog, cfgs[0].SeedSalt)
 	}
-	b := newBatchRunner(cfgs, prog, tape, attach)
+	b := newBatchRunner(cfgs, prog, tape, parallelism, attach)
 	b.run(ctx, parallelism)
 	return b.res, b.errs
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"errors"
 	"runtime"
 	"strings"
 	"testing"
@@ -136,6 +137,48 @@ func TestRunBatchPerConfigErrors(t *testing.T) {
 	}
 	if res[0] != want {
 		t.Errorf("good cell differs from independent run")
+	}
+}
+
+// TestRunBatchContainsPanics asserts a model panic fails its cell
+// alone: config 1's phase hook panics as its measured region begins,
+// config 0 still reproduces its independent run, and the panic comes
+// back as config 1's error naming its config key and keeping the
+// panicking goroutine's stack.
+func TestRunBatchContainsPanics(t *testing.T) {
+	good := testConfig(MechBaseline)
+	good.MaxInstructions = 8_000
+	good.WarmupInstructions = 1_000
+	bad := good
+	bad.FTQDepth = 16
+	cfgs := []Config{good, bad}
+
+	res, errs := RunBatchCtx(context.Background(), cfgs, 2, func(k int, m *Machine) {
+		if k == 1 {
+			m.SetPhaseHook(func(phase string) {
+				if phase == "measure" {
+					panic("injected model fault")
+				}
+			})
+		}
+	})
+	if errs[1] == nil || !strings.Contains(errs[1].Error(), "injected model fault") ||
+		!strings.Contains(errs[1].Error(), ConfigKey(bad)) {
+		t.Fatalf("panicking cell error = %v, want the panic with its config key", errs[1])
+	}
+	var pe *PanicError
+	if !errors.As(errs[1], &pe) || !strings.Contains(string(pe.Stack), "notePhase") {
+		t.Fatalf("panicking cell error = %#v, want a PanicError carrying the panicking stack", errs[1])
+	}
+	if errs[0] != nil {
+		t.Fatalf("healthy cell failed: %v", errs[0])
+	}
+	want, err := RunOne(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res[0] != want {
+		t.Errorf("healthy cell differs from independent run")
 	}
 }
 

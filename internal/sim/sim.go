@@ -9,6 +9,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"udpsim/internal/backend"
 	"udpsim/internal/bp"
@@ -228,7 +229,26 @@ type Machine struct {
 	// the zero-alloc cycle-loop gate is unaffected. The service layer
 	// uses it to put warmup/measure spans on the daemon's job timeline.
 	phaseHook func(phase string)
+
+	// Run state of the warmup→measure sequence advance drives: the
+	// current phase, the retired-instruction count ending it, its
+	// forward-progress cycle bound, and the observer interval
+	// suppressed during warmup.
+	phase   runPhase
+	target  uint64
+	limit   uint64
+	savedIv uint64
 }
+
+// runPhase is a machine's position in its warmup→measure sequence.
+type runPhase uint8
+
+const (
+	phaseIdle runPhase = iota
+	phaseWarmup
+	phaseMeasure
+	phaseDone
+)
 
 // SetPhaseHook installs (or clears, with nil) the run-phase callback.
 // Like AttachObserver it is post-construction state and not part of
@@ -490,8 +510,8 @@ func (m *Machine) Run() Result {
 	return r
 }
 
-// RunCtx is Run with cooperative cancellation: the cycle loop polls
-// ctx every cancelCheckStride cycles (cheap — one atomic load every few
+// RunCtx is Run with cooperative cancellation: the run loop polls ctx
+// every cancelCheckStride cycles (cheap — one atomic load every few
 // microseconds of simulation) and returns ctx's error as soon as it is
 // observed, discarding the partial region. A nil or background context
 // degrades to the plain uncancellable Run.
@@ -516,33 +536,14 @@ func (m *Machine) RunCtx(ctx context.Context) (res Result, err error) {
 			}()
 		}
 	}
-	maxInstr := m.cfg.MaxInstructions
-	if maxInstr == 0 {
-		maxInstr = 1_000_000
-	}
-	if w := m.cfg.WarmupInstructions; w > 0 {
-		// Suppress interval samples during warmup so a streaming metrics
-		// sink sees only measured-region rows (their retired deltas must
-		// sum to Result.Instructions).
-		var iv uint64
-		if m.obs != nil {
-			iv, m.obs.Interval = m.obs.Interval, 0
-		}
-		m.notePhase("warmup")
-		if err := m.runInstructions(w, ctx); err != nil {
-			return Result{}, err
-		}
-		m.ResetStats()
-		if m.obs != nil {
-			m.obs.Interval = iv
+	m.phase = phaseIdle
+	for !m.advance(cancelCheckStride) {
+		if ctx != nil {
+			if err := ctx.Err(); err != nil {
+				return Result{}, err
+			}
 		}
 	}
-	m.notePhase("measure")
-	if err := m.runInstructions(maxInstr, ctx); err != nil {
-		return Result{}, err
-	}
-	m.obsFlush()
-	m.notePhase("done")
 	return m.Snapshot(), nil
 }
 
@@ -552,29 +553,101 @@ func (m *Machine) RunCtx(ctx context.Context) (res Result, err error) {
 // BenchmarkMachineStep-scale profiles.
 const cancelCheckStride = 4096
 
-// RunInstructions advances until n more instructions retire. A safety
-// bound of 400 cycles/instruction guards against modelling deadlock.
-func (m *Machine) RunInstructions(n uint64) {
-	// A nil context never cancels, so the error path is unreachable.
-	_ = m.runInstructions(n, nil)
-}
-
-func (m *Machine) runInstructions(n uint64, ctx context.Context) error {
-	target := m.BE.Stats.Retired + n
-	limit := m.cycle + n*400 + 1_000_000
-	for m.BE.Stats.Retired < target {
-		m.Step()
-		if m.cycle > limit {
-			panic(fmt.Sprintf("sim: no forward progress (retired %d of target %d at cycle %d)",
-				m.BE.Stats.Retired, target, m.cycle))
-		}
-		if ctx != nil && m.cycle%cancelCheckStride == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
+// advance drives the machine's warmup→measure sequence for up to stride
+// cycles and reports whether the run is done. It is the one run loop:
+// RunCtx calls it over the machine's own source, the lockstep batch
+// scheduler in short strides over a shared tape. Warmup suppresses
+// interval samples so a streaming metrics sink sees only measured-region
+// rows (their retired deltas must sum to Result.Instructions); its end
+// resets statistics while keeping microarchitectural state. A zero
+// MaxInstructions measures 1M instructions.
+func (m *Machine) advance(stride int) bool {
+	if m.phase == phaseIdle {
+		if w := m.cfg.WarmupInstructions; w > 0 {
+			if m.obs != nil {
+				m.savedIv, m.obs.Interval = m.obs.Interval, 0
 			}
+			m.phase = phaseWarmup
+			m.arm(w)
+			m.notePhase("warmup")
+		} else {
+			m.beginMeasure()
 		}
 	}
-	return nil
+	for n := 0; m.phase != phaseDone; {
+		n += m.stepToTarget(stride - n)
+		if m.BE.Stats.Retired < m.target {
+			return false
+		}
+		if m.phase == phaseWarmup {
+			m.ResetStats()
+			if m.obs != nil {
+				m.obs.Interval = m.savedIv
+			}
+			m.beginMeasure()
+			continue
+		}
+		m.obsFlush()
+		m.phase = phaseDone
+		m.notePhase("done")
+	}
+	return true
+}
+
+// beginMeasure arms the measured region.
+func (m *Machine) beginMeasure() {
+	m.phase = phaseMeasure
+	m.arm(m.measured())
+	m.notePhase("measure")
+}
+
+// measured is the measured region's length.
+func (m *Machine) measured() uint64 {
+	if n := m.cfg.MaxInstructions; n > 0 {
+		return n
+	}
+	return 1_000_000
+}
+
+// toRetire is how many more instructions an unfinished run retires.
+func (m *Machine) toRetire() uint64 {
+	if m.phase == phaseIdle {
+		return m.cfg.WarmupInstructions + m.measured()
+	}
+	n := m.target - m.BE.Stats.Retired
+	if m.phase == phaseWarmup {
+		n += m.measured()
+	}
+	return n
+}
+
+// arm sets the retire target n instructions ahead, with a safety bound
+// of 400 cycles per instruction against modelling deadlock.
+func (m *Machine) arm(n uint64) {
+	m.target = m.BE.Stats.Retired + n
+	m.limit = m.cycle + n*400 + 1_000_000
+}
+
+// stepToTarget steps until the retire target is met or budget cycles
+// have run, and returns the cycles it ran.
+func (m *Machine) stepToTarget(budget int) int {
+	n := 0
+	for ; n < budget && m.BE.Stats.Retired < m.target; n++ {
+		m.Step()
+		if m.cycle > m.limit {
+			panic(fmt.Sprintf("sim: no forward progress (retired %d of target %d at cycle %d)",
+				m.BE.Stats.Retired, m.target, m.cycle))
+		}
+	}
+	return n
+}
+
+// RunInstructions advances until n more instructions retire, outside
+// any Run: it re-arms the retire target, so it must not be interleaved
+// with an unfinished RunCtx.
+func (m *Machine) RunInstructions(n uint64) {
+	m.arm(n)
+	m.stepToTarget(math.MaxInt)
 }
 
 // ResetStats clears all accumulated statistics (end of warmup) while

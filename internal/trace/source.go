@@ -140,6 +140,10 @@ type abortError struct{ err error }
 func (e abortError) Error() string     { return "trace: replay aborted: " + e.err.Error() }
 func (e abortError) RunAborted() error { return e.err }
 
+// Len reports the recording's length, so a workload.Tape over the
+// stream stops at its end instead of reading past it.
+func (s *sourceStream) Len() uint64 { return uint64(len(s.recs)) }
+
 // SetRunContext installs (or with nil clears) the cancellation context.
 func (s *sourceStream) SetRunContext(ctx context.Context) { s.ctx = ctx }
 

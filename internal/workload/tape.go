@@ -80,14 +80,26 @@ func (t *Tape) Reader() *TapeReader {
 // outside the measured cycle loop).
 func (t *Tape) EnsureAhead(i uint64) {
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	t.extendLocked(int(i >> tapeChunkShift))
-	t.mu.Unlock()
 }
 
-// extendLocked records chunks through index c.
+// extendLocked records chunks through index c. A finite stream (a trace
+// recording, which reports its Len) ends the tape with a short final
+// chunk instead of being read past its end; only a reader that
+// actually asks for a record beyond it fails.
 func (t *Tape) extendLocked(c int) {
 	for len(t.chunks) <= c {
-		chunk := make([]isa.DynInstr, tapeChunkSize)
+		base := uint64(len(t.chunks)) << tapeChunkShift
+		n := uint64(tapeChunkSize)
+		if f, ok := t.src.(interface{ Len() uint64 }); ok {
+			end := f.Len()
+			if end <= base {
+				return
+			}
+			n = min(n, end-base)
+		}
+		chunk := make([]isa.DynInstr, n)
 		for j := range chunk {
 			chunk[j] = t.src.Next()
 		}
@@ -155,13 +167,15 @@ func (r *TapeReader) At(i uint64) isa.DynInstr {
 func (r *TapeReader) slowAt(i uint64) isa.DynInstr {
 	t := r.t
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	if r.hw > tapeRewindWindow && i < r.hw-tapeRewindWindow {
-		hw := r.hw
-		t.mu.Unlock()
-		panic(fmt.Sprintf("workload: tape rewind beyond window (want %d, high-water %d)", i, hw))
+		panic(fmt.Sprintf("workload: tape rewind beyond window (want %d, high-water %d)", i, r.hw))
 	}
 	c := int(i >> tapeChunkShift)
 	t.extendLocked(c)
+	if c >= len(t.chunks) || i&tapeChunkMask >= uint64(len(t.chunks[c])) {
+		panic(fmt.Sprintf("workload: replay past the end of a finite stream (want record %d); record a longer region (simulation length + oracle runahead margin)", i+1))
+	}
 	if i >= r.hw {
 		r.hw = i + 1
 	}
@@ -169,7 +183,6 @@ func (r *TapeReader) slowAt(i uint64) isa.DynInstr {
 	r.chunkBase = uint64(c) << tapeChunkShift
 	r.chunk = chunk
 	t.maybeTrimLocked()
-	t.mu.Unlock()
 	return chunk[i&tapeChunkMask]
 }
 

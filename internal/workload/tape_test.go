@@ -109,3 +109,40 @@ func TestTapeRewindBeyondWindowPanics(t *testing.T) {
 	}()
 	r.At(0)
 }
+
+// finiteStream is a recording of n records that panics past its end,
+// like a trace replay.
+type finiteStream struct{ pos, n uint64 }
+
+func (s *finiteStream) Len() uint64 { return s.n }
+
+func (s *finiteStream) Next() isa.DynInstr {
+	if s.pos >= s.n {
+		panic("finiteStream: read past end")
+	}
+	s.pos++
+	return isa.DynInstr{Seq: s.pos}
+}
+
+// TestTapeStopsAtFiniteStreamEnd pins that pre-extension never reads a
+// finite stream past its end (a short trace fits in a partial chunk),
+// that a reader asking beyond the end fails with the tape lock
+// released, and that the reader can still be closed afterwards.
+func TestTapeStopsAtFiniteStreamEnd(t *testing.T) {
+	const n = tapeChunkSize + 100
+	tape := NewTapeFromStream(&finiteStream{n: n})
+	r := tape.Reader()
+	tape.EnsureAhead(10 * tapeChunkSize)
+	if got := r.At(n - 1).Seq; got != n {
+		t.Fatalf("last record Seq = %d, want %d", got, n)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("read past the end did not fail")
+			}
+		}()
+		r.At(n)
+	}()
+	r.Close() // deadlocks if the failed read kept the tape lock
+}
