@@ -89,6 +89,10 @@ type robEntry struct {
 	valid     bool
 	// gen disambiguates slot reuse for the compact scheduling lists.
 	gen uint32
+	// l1Gen is the hierarchy's L1DGeneration when this load or store
+	// was last rejected at the L1D (its MSHR file was full); 0 = never.
+	// A full file's generation is never 0.
+	l1Gen uint64
 }
 
 // entryRef is a generation-checked reference into the ROB ring, letting
@@ -343,7 +347,7 @@ func (b *Backend) issue(cycle uint64) {
 				keep = append(keep, ref)
 				continue
 			}
-			l, _, ok := b.hier.DataRequest(b.dataAddr(e.fi), start)
+			l, ok := b.dataRequest(e, start)
 			if !ok {
 				// MSHR pressure in the hierarchy: nothing was consumed,
 				// the load re-issues next cycle.
@@ -363,7 +367,7 @@ func (b *Backend) issue(cycle uint64) {
 			// pipeline latency (the dcache write happens post-commit),
 			// but the write-allocate fill still occupies MSHRs and
 			// bandwidth like any other request.
-			if _, _, ok := b.hier.DataRequest(b.dataAddr(e.fi), start); !ok {
+			if _, ok := b.dataRequest(e, start); !ok {
 				b.Stats.MemRetries++
 				keep = append(keep, ref)
 				continue
@@ -396,6 +400,28 @@ func (b *Backend) issue(cycle uint64) {
 		b.inFlight = append(b.inFlight, ref)
 	}
 	b.pendingIssue = keep
+}
+
+// dataRequest sends e's load or store to the hierarchy, returning the
+// load-to-use latency; ok=false means it was rejected and re-issues
+// next cycle. A demand rejected at the L1D because its MSHR file was
+// full is rejected again, identically, until the file's generation
+// moves, so such a re-issue only replays the rejection's accounting
+// (memory.Hierarchy.RepeatDataReject). The generation is read per call:
+// an allocation earlier in the same issue pass moves it. Rejections
+// further down (L2, LLC) depend on state the generation does not cover
+// and always take the full path.
+func (b *Backend) dataRequest(e *robEntry, start uint64) (latency uint64, ok bool) {
+	addr := b.dataAddr(e.fi)
+	if e.l1Gen != 0 && e.l1Gen == b.hier.L1DGeneration() {
+		b.hier.RepeatDataReject(addr)
+		return 0, false
+	}
+	latency, level, ok := b.hier.DataRequest(addr, start)
+	if !ok && level == memory.LevelL1 {
+		e.l1Gen = b.hier.L1DGeneration()
+	}
+	return latency, ok
 }
 
 // olderInWindow reports whether an entry depOffset slots older than idx

@@ -7,6 +7,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"udpsim/internal/isa"
 )
@@ -121,6 +122,7 @@ type Cache struct {
 	cfg      Config
 	sets     [][]line
 	setMask  uint64
+	setShift uint64 // log2 of the set count: tag = line number >> setShift
 	rngState uint64
 	Stats    Stats
 }
@@ -144,6 +146,7 @@ func New(cfg Config) *Cache {
 		cfg:      cfg,
 		sets:     sets,
 		setMask:  uint64(nsets - 1),
+		setShift: uint64(bits.TrailingZeros64(uint64(nsets))),
 		rngState: 0x853c49e6748fea9b,
 	}
 }
@@ -153,7 +156,7 @@ func (c *Cache) Config() Config { return c.cfg }
 
 func (c *Cache) index(lineAddr isa.Addr) (set uint64, tag uint64) {
 	n := uint64(lineAddr) / uint64(c.cfg.LineBytes)
-	return n & c.setMask, n >> uint64(log2(len(c.sets)))
+	return n & c.setMask, n >> c.setShift
 }
 
 // Lookup probes the cache without updating replacement state or stats.
@@ -340,14 +343,6 @@ func (c *Cache) pickVictim(ways []line) int {
 }
 
 func (c *Cache) reconstruct(set, tag uint64) isa.Addr {
-	n := tag<<uint64(log2(len(c.sets))) | set
+	n := tag<<c.setShift | set
 	return isa.Addr(n * uint64(c.cfg.LineBytes))
-}
-
-func log2(n int) int {
-	k := 0
-	for 1<<k < n {
-		k++
-	}
-	return k
 }

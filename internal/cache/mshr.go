@@ -44,6 +44,7 @@ type MSHRFile struct {
 	entries   []MSHR
 	occupied  int
 	nextReady uint64 // earliest ReadyCycle among valid entries (neverReady when empty)
+	gen       uint64 // membership generation (see Generation)
 	Stats     MSHRStats
 }
 
@@ -58,8 +59,18 @@ func NewMSHRFile(n int) *MSHRFile {
 	return &MSHRFile{entries: make([]MSHR, n), nextReady: neverReady}
 }
 
+// Generation counts changes to the file's membership: every successful
+// Allocate, every entry freed by Completed, and every Flush advance it.
+// While it is unchanged, the set of in-flight lines (and so Lookup and
+// Full) answer exactly as they did when it was read. It is zero only
+// before the first change, so a full file never reports zero.
+func (f *MSHRFile) Generation() uint64 { return f.gen }
+
 // Lookup returns the in-flight entry for lineAddr, or nil.
 func (f *MSHRFile) Lookup(lineAddr isa.Addr) *MSHR {
+	if f.occupied == 0 {
+		return nil
+	}
 	for i := range f.entries {
 		if f.entries[i].Valid && f.entries[i].LineAddr == lineAddr {
 			return &f.entries[i]
@@ -86,6 +97,7 @@ func (f *MSHRFile) Allocate(lineAddr isa.Addr, issue, ready uint64, prefetch, of
 				f.Stats.PrefetchAllocations++
 			}
 			f.occupied++
+			f.gen++
 			if ready < f.nextReady {
 				f.nextReady = ready
 			}
@@ -127,6 +139,7 @@ func (f *MSHRFile) Completed(cycle uint64, install func(MSHR)) {
 			e := f.entries[i]
 			f.entries[i].Valid = false
 			f.occupied--
+			f.gen++
 			f.Stats.Completions++
 			install(e)
 			continue
@@ -157,4 +170,5 @@ func (f *MSHRFile) Flush() {
 	}
 	f.occupied = 0
 	f.nextReady = neverReady
+	f.gen++
 }

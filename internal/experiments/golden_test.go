@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -12,10 +13,13 @@ import (
 	"udpsim/internal/sim"
 )
 
-// goldenPath holds the pinned results of the golden grid. Delete the
-// file and run TestGoldenResults to regenerate it; a regeneration is a
-// deliberate change to published numbers and must be called out.
-const goldenPath = "testdata/golden_results.json"
+// Golden files pin the results of fixed grids. Delete a file and run
+// its test to regenerate it; a regeneration is a deliberate change to
+// published numbers and must be called out.
+const (
+	goldenPath         = "testdata/golden_results.json"
+	goldenPressurePath = "testdata/golden_pressure.json"
+)
 
 // TestGoldenResults pins every field of every sim.Result of a small
 // fixed-fidelity grid — mysql and verilator × every registered
@@ -35,6 +39,39 @@ func TestGoldenResults(t *testing.T) {
 	for _, m := range sim.Mechanisms() {
 		d.Configs = append(d.Configs, ConfigSpec{Label: string(m), Mechanism: string(m)})
 	}
+	checkGolden(t, d, goldenPath, false)
+}
+
+// TestGoldenResultsMSHRPressure pins a grid run under MSHR pressure:
+// xgboost and mysql × {baseline, udp, eip} with 4 L1D and 8 L2 MSHRs,
+// so demands are rejected at the L1D (repeatedly, while its file stays
+// full) and at the L2. The aggregate of several simpoints drops the
+// memory and backend counters, so each simpoint region's own Result is
+// pinned too: its retry, merge and MSHR counts are the rejection
+// paths' direct record.
+func TestGoldenResultsMSHRPressure(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation-heavy")
+	}
+	d := &Descriptor{
+		Name:         "golden-pressure",
+		Workloads:    []string{"xgboost", "mysql"},
+		Instructions: 20_000,
+		Warmup:       10_000,
+		Simpoints:    2,
+	}
+	for _, m := range []string{"baseline", "udp", "eip"} {
+		d.Configs = append(d.Configs, ConfigSpec{Label: m, Mechanism: m, L1DMSHRs: 4, L2MSHRs: 8})
+	}
+	checkGolden(t, d, goldenPressurePath, true)
+}
+
+// checkGolden runs d and compares every leaf of every result against
+// the golden file at path, writing the file (and failing) when it is
+// missing. With regions set, each cell's simpoint regions are also
+// simulated on their own and pinned as "<workload>/<label>/region<i>".
+func checkGolden(t *testing.T, d *Descriptor, path string, regions bool) {
+	t.Helper()
 	if err := d.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -48,17 +85,32 @@ func TestGoldenResults(t *testing.T) {
 		flattenFields("", reflect.ValueOf(r.Result), fields)
 		got[r.Workload+"/"+r.Label] = fields
 	}
+	if regions {
+		for _, w := range d.Workloads {
+			for _, cs := range d.Configs {
+				rs, _, err := sim.RunSimpointsCtx(context.Background(), CellConfig(d, w, cs), d.Simpoints, 0, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, r := range rs {
+					fields := map[string]string{}
+					flattenFields("", reflect.ValueOf(r), fields)
+					got[fmt.Sprintf("%s/%s/region%d", w, cs.Label, i)] = fields
+				}
+			}
+		}
+	}
 
-	raw, err := os.ReadFile(goldenPath)
+	raw, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
 		js, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(goldenPath, append(js, '\n'), 0o644); err != nil {
+		if err := os.WriteFile(path, append(js, '\n'), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Fatalf("%s was missing; wrote a fresh copy — review and commit it", goldenPath)
+		t.Fatalf("%s was missing; wrote a fresh copy — review and commit it", path)
 	}
 	if err != nil {
 		t.Fatal(err)

@@ -40,6 +40,38 @@ func BenchmarkHierarchyRequest(b *testing.B) {
 			cycle++
 		}
 	})
+	b.Run("data-blocked", func(b *testing.B) {
+		// A full L1D MSHR file and a backend's worth of blocked loads
+		// re-issued every cycle the way the backend does it: the first
+		// rejection goes through DataRequest, the repeats through
+		// RepeatDataReject. The blocking fills are requested for a
+		// far-future cycle, so none lands inside the timed loop.
+		h := New(testConfig())
+		mshrs := h.Config().L1DMSHRs
+		for i := 0; i < mshrs; i++ {
+			h.DataRequest(isa.Addr(0x800000+i*isa.LineBytes), 1<<40)
+		}
+		const blocked = 16
+		var gens [blocked]uint64
+		b.ReportAllocs()
+		b.ResetTimer()
+		cycle := uint64(2)
+		for i := 0; i < b.N; i++ {
+			if i%blocked == 0 {
+				h.Tick(cycle)
+				cycle++
+			}
+			addr := isa.Addr(0x900000 + (i%blocked)*isa.LineBytes)
+			if g := &gens[i%blocked]; *g != 0 && *g == h.L1DGeneration() {
+				h.RepeatDataReject(addr)
+			} else if _, level, ok := h.DataRequest(addr, cycle); !ok && level == LevelL1 {
+				*g = h.L1DGeneration()
+			}
+		}
+		if h.L1DMSHRFile().Occupancy() != mshrs {
+			b.Fatal("a blocking fill completed inside the timed loop")
+		}
+	})
 }
 
 // TestHierarchyRequestZeroAlloc pins the zero-allocation contract of

@@ -74,9 +74,7 @@ func (h *Hierarchy) DataRequest(addr isa.Addr, cycle uint64) (latency uint64, le
 	}
 	h.Stats.L1D.FillRequests++
 	if h.l1dm.Full() {
-		h.Stats.L1D.Retries++
-		h.l1dm.Stats.AllocFailures++
-		h.memBackpressure(LevelL1, lineAddr, false)
+		h.rejectAt(&h.Stats.L1D, h.l1dm, LevelL1, lineAddr, false)
 		return 0, LevelL1, false
 	}
 	ready, level, ok := h.request(lineAddr, cycle, ReqDataDemand)
@@ -101,6 +99,26 @@ func (h *Hierarchy) DataRequest(addr isa.Addr, cycle uint64) (latency uint64, le
 	// Data is forwarded to the core as it arrives (ready); the line
 	// becomes visible in the L1D at its fill completion (install).
 	return ready - cycle, level, true
+}
+
+// L1DGeneration returns the L1D MSHR file's membership generation
+// (cache.MSHRFile.Generation). A data demand DataRequest rejected at
+// LevelL1 (the L1D MSHR file was full) stays rejected, with the same
+// side effects, until this value moves: only an L1D MSHR allocation or
+// completion can change the file's occupancy, its in-flight lines or
+// (by installing a fill) the L1D's contents.
+func (h *Hierarchy) L1DGeneration() uint64 { return h.l1dm.Generation() }
+
+// RepeatDataReject re-issues a data demand whose last DataRequest was
+// rejected at LevelL1 while L1DGeneration has not moved since. It
+// replays that rejection's accounting — the L1D probe's miss, the L1D
+// fill request and retry, the MSHR allocation failure and the
+// backpressure event — without probing the L1D or its MSHR file, whose
+// answer cannot have changed.
+func (h *Hierarchy) RepeatDataReject(addr isa.Addr) {
+	h.L1D.Stats.Misses++
+	h.Stats.L1D.FillRequests++
+	h.rejectAt(&h.Stats.L1D, h.l1dm, LevelL1, addr.Line(), false)
 }
 
 // observeStream feeds the stream prefetcher after the demand itself has

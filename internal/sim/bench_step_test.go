@@ -2,14 +2,17 @@ package sim
 
 import (
 	"testing"
+
+	"udpsim/internal/obs"
 )
 
 // benchStepMachine builds a warmed-up machine for the per-cycle hot-loop
-// benchmarks: the image is shared, the machine has run long enough that
-// caches, predictors and the frontend's scratch pools are in steady
-// state, and no observer is attached (the production configuration of
-// the parallel experiment grid).
-func benchStepMachine(b *testing.B, mech Mechanism) *Machine {
+// benchmarks: the image is shared, and the machine has run long enough
+// that caches, predictors and the frontend's scratch pools are in
+// steady state. o (nil is the production configuration of the parallel
+// experiment grid) is attached before the warmup, so its ring buffer
+// and trackers reach steady state too.
+func benchStepMachine(b *testing.B, mech Mechanism, o *obs.Observer) *Machine {
 	b.Helper()
 	cfg := testConfig(mech)
 	prog, err := SharedImage(cfg.Workload)
@@ -19,6 +22,9 @@ func benchStepMachine(b *testing.B, mech Mechanism) *Machine {
 	m, err := NewMachineWithProgram(cfg, prog)
 	if err != nil {
 		b.Fatal(err)
+	}
+	if o != nil {
+		m.AttachObserver(o)
 	}
 	// Warm to steady state so the benchmark measures the recurring
 	// per-cycle cost, not cold caches or pool growth.
@@ -34,7 +40,7 @@ func benchStepMachine(b *testing.B, mech Mechanism) *Machine {
 func BenchmarkMachineStep(b *testing.B) {
 	for _, mech := range []Mechanism{MechBaseline, MechUDP, MechUFTQATRAUR, MechEIP} {
 		b.Run(string(mech), func(b *testing.B) {
-			m := benchStepMachine(b, mech)
+			m := benchStepMachine(b, mech, nil)
 			warm := m.BE.Stats.Retired
 			b.ReportAllocs()
 			b.ResetTimer()

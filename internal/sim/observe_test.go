@@ -2,7 +2,9 @@ package sim
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
+	"time"
 
 	"udpsim/internal/obs"
 )
@@ -145,43 +147,39 @@ func TestAttachObserverDetach(t *testing.T) {
 // the production configuration (nil observer — the nil-guarded hooks
 // must cost nothing measurable and allocate nothing), "sampled" adds
 // the interval sampler, "full" adds event tracing and lifecycle
-// tracking. CI compares off against the seed throughput benchmark.
+// tracking. Each variant runs its own warmed machine over the same
+// instructions of one shared image, so only the observer differs. The
+// variants take turns, one chunk each in rotating order, so drift in
+// the host's speed over the run lands on all three alike; each reports
+// its own <variant>-Minstr/s.
 func BenchmarkSimObsOverhead(b *testing.B) {
-	mk := func(b *testing.B) *Machine {
-		cfg := testConfig(MechUDP)
-		cfg.WarmupInstructions = 0
-		m, err := NewMachine(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return m
-	}
 	const chunk = 10_000
-	bench := func(b *testing.B, attach func(*Machine)) {
-		m := mk(b)
-		if attach != nil {
-			attach(m)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			m.RunInstructions(chunk)
-		}
-		b.ReportMetric(float64(chunk*b.N)/b.Elapsed().Seconds()/1e6, "Minstr/s")
+	variants := []struct {
+		name string
+		o    *obs.Observer
+	}{
+		{"off", nil},
+		{"sampled", &obs.Observer{Interval: 10_000}},
+		{"full", &obs.Observer{Interval: 10_000, Trace: obs.NewTracer(1 << 16), Life: obs.NewLifecycle()}},
 	}
-	b.Run("off", func(b *testing.B) { bench(b, nil) })
-	b.Run("sampled", func(b *testing.B) {
-		bench(b, func(m *Machine) {
-			m.AttachObserver(&obs.Observer{Interval: 10_000})
-		})
-	})
-	b.Run("full", func(b *testing.B) {
-		bench(b, func(m *Machine) {
-			m.AttachObserver(&obs.Observer{
-				Interval: 10_000,
-				Trace:    obs.NewTracer(1 << 16),
-				Life:     obs.NewLifecycle(),
-			})
-		})
-	})
+	machines := make([]*Machine, len(variants))
+	for k, v := range variants {
+		machines[k] = benchStepMachine(b, MechUDP, v.o)
+	}
+	elapsed := make([]time.Duration, len(variants))
+	runtime.GC()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range machines {
+			k := (i + j) % len(machines)
+			start := time.Now()
+			machines[k].RunInstructions(chunk)
+			elapsed[k] += time.Since(start)
+		}
+	}
+	b.StopTimer()
+	for k, v := range variants {
+		b.ReportMetric(float64(chunk*b.N)/elapsed[k].Seconds()/1e6, v.name+"-Minstr/s")
+	}
 }
