@@ -89,16 +89,14 @@ type robEntry struct {
 	valid     bool
 	// gen disambiguates slot reuse for the compact scheduling lists.
 	gen uint32
-	// l1Gen is the hierarchy's L1DGeneration when this load or store
-	// was last rejected at the L1D (its MSHR file was full); 0 = never.
-	// A full file's generation is never 0.
-	l1Gen uint64
 }
 
 // entryRef is a generation-checked reference into the ROB ring, letting
-// the scheduler keep compact lists (dispatched-awaiting-issue,
+// the scheduler keep compact lists (dispatched-awaiting-issue, parked,
 // issued-awaiting-completion) instead of scanning the whole ROB every
-// cycle; references to flushed entries go stale and are dropped lazily.
+// cycle. A recovery trims the flushed entries off the young end of the
+// age-ordered lists; references to flushed entries in inFlight go stale
+// and are dropped lazily.
 type entryRef struct {
 	idx int
 	gen uint32
@@ -115,9 +113,22 @@ type Backend struct {
 	tail  int // next free
 	count int
 
-	// Compact scheduler worklists (see entryRef).
+	// Compact scheduler worklists (see entryRef). pendingIssue and the
+	// parked lists are in age order, inFlight in issue order.
 	pendingIssue []entryRef
 	inFlight     []entryRef
+	// parkedLoads and parkedStores hold the loads and stores the L1D
+	// turned away because its MSHR file was full, while L1DGeneration
+	// still reads parkGen; the issue pass does not visit them (see
+	// issue). newLoads and newStores collect one pass's fresh L1D
+	// rejections, and spare is merge scratch.
+	parkedLoads, parkedStores []entryRef
+	parkGen                   uint64
+	newLoads, newStores       []entryRef
+	spare                     []entryRef
+	// nextComplete is at or before the earliest readyAt in inFlight:
+	// complete has nothing to do before that cycle.
+	nextComplete uint64
 
 	inFlightLoads  int
 	inFlightStores int
@@ -169,16 +180,22 @@ func New(cfg Config, fe *frontend.Frontend, hier *memory.Hierarchy) *Backend {
 	if cfg.BranchResolveExtra == 0 {
 		cfg.BranchResolveExtra = 10
 	}
+	// The scheduler worklists are bounded by the live ROB window (plus
+	// one decode group of stale refs awaiting compaction); preallocating
+	// keeps the per-cycle loop allocation-free.
+	list := func() []entryRef { return make([]entryRef, 0, cfg.ROBSize+cfg.Width) }
 	return &Backend{
-		cfg:  cfg,
-		fe:   fe,
-		hier: hier,
-		rob:  make([]robEntry, cfg.ROBSize),
-		// The scheduler worklists are bounded by the live ROB window
-		// (plus one decode group of stale refs awaiting compaction);
-		// preallocating keeps the per-cycle loop allocation-free.
-		pendingIssue: make([]entryRef, 0, cfg.ROBSize+cfg.Width),
-		inFlight:     make([]entryRef, 0, cfg.ROBSize+cfg.Width),
+		cfg:          cfg,
+		fe:           fe,
+		hier:         hier,
+		rob:          make([]robEntry, cfg.ROBSize),
+		pendingIssue: list(),
+		inFlight:     list(),
+		parkedLoads:  list(),
+		parkedStores: list(),
+		newLoads:     list(),
+		newStores:    list(),
+		spare:        list(),
 		rng:          0x9e3779b97f4a7c15,
 	}
 }
@@ -239,9 +256,15 @@ func (b *Backend) retire(cycle uint64) {
 	}
 }
 
-// complete marks executed instructions done and resolves diverging
-// branches (execute-time recovery).
+// complete marks executed instructions done, in issue order, and
+// resolves diverging branches (execute-time recovery). Until the
+// earliest in-flight readyAt nothing can be done, and the sweep is
+// skipped.
 func (b *Backend) complete(cycle uint64) {
+	if cycle < b.nextComplete {
+		return
+	}
+	next := ^uint64(0)
 	keep := b.inFlight[:0]
 	for n, ref := range b.inFlight {
 		e := &b.rob[ref.idx]
@@ -250,6 +273,9 @@ func (b *Backend) complete(cycle uint64) {
 		}
 		if e.readyAt > cycle {
 			keep = append(keep, ref)
+			if e.readyAt < next {
+				next = e.readyAt
+			}
 			continue
 		}
 		e.state = stateDone
@@ -263,7 +289,9 @@ func (b *Backend) complete(cycle uint64) {
 		if e.fi.Divergence != nil {
 			// Misprediction resolved at execute: recover. Everything
 			// younger is flushed; keep the rest of the worklist (stale
-			// refs drop lazily) and resume next cycle.
+			// refs drop lazily), unswept, and resume next cycle:
+			// nextComplete stays at or before this cycle, so the next
+			// cycle sweeps.
 			keep = append(keep, b.inFlight[n+1:]...)
 			b.inFlight = keep
 			b.recoverAt(ref.idx, cycle)
@@ -271,6 +299,7 @@ func (b *Backend) complete(cycle uint64) {
 		}
 	}
 	b.inFlight = keep
+	b.nextComplete = next
 }
 
 // recoverAt flushes all ROB entries younger than idx and resteers the
@@ -300,35 +329,87 @@ func (b *Backend) recoverAt(idx int, cycle uint64) {
 				b.Stats.FlushedOnPath++
 			}
 			e.valid = false
-			// A squashed instruction has no further readers (worklist
-			// refs are dropped by the valid/gen checks): recycle it.
+			// A squashed instruction has no further readers (the
+			// age-ordered worklists are trimmed below, inFlight refs are
+			// dropped by the valid/gen checks): recycle it.
 			b.fe.ReleaseInstr(e.fi)
 			e.fi = nil
 			b.count--
 		}
 		b.tail = k
 	}
+	// The flushed entries are the young end of every age-ordered list.
+	b.pendingIssue = b.trimFlushed(b.pendingIssue)
+	b.parkedLoads = b.trimFlushed(b.parkedLoads)
+	b.parkedStores = b.trimFlushed(b.parkedStores)
 	b.fe.Recover(fi, cycle)
 }
 
-// issue moves dispatched instructions to execution, respecting
-// functional-unit ports, load/store buffers, and dependences.
+// trimFlushed drops the flushed entries off the young end of an
+// age-ordered worklist.
+func (b *Backend) trimFlushed(list []entryRef) []entryRef {
+	for len(list) > 0 {
+		ref := list[len(list)-1]
+		if e := &b.rob[ref.idx]; e.valid && e.gen == ref.gen {
+			break
+		}
+		list = list[:len(list)-1]
+	}
+	return list
+}
+
+// issue moves dispatched instructions to execution, in age order,
+// respecting functional-unit ports, load/store buffers, and dependences.
+//
+// A load or store that DataRequest turns away at LevelL1 (the L1D MSHR
+// file is full) is parked. Until L1DGeneration moves, every re-issue of
+// it would be rejected again, identically, so the pass does not visit
+// it: that file is full, and a full file's generation cannot move
+// within a pass (only Tick's completions free an entry, and nothing can
+// allocate into it). It would have been re-issued, and its rejection
+// counted, exactly when the pass reached it with its ports and buffer
+// still open. The pass consumes ports and buffer in age order and never
+// gives them back, so those are the parked entries older than the load
+// (store) whose issue closed them, or none if the buffer was full from
+// the start. They are counted in one memory.Hierarchy call. Only an
+// observer needs more: their backpressure events, emitted in age order
+// among the fresh rejections'. Once the generation moves, the parked
+// entries rejoin pendingIssue by age and take the full path again.
 func (b *Backend) issue(cycle uint64) {
+	if len(b.parkedLoads)+len(b.parkedStores) > 0 && b.parkGen != b.hier.L1DGeneration() {
+		b.unpark()
+	}
 	alu := b.cfg.ALUs
 	ld := b.cfg.LoadPorts
 	st := b.cfg.StorePorts
+	// ldCut and stCut are the age (see age) of the load and store whose
+	// issue closed their ports or buffer this pass: parked entries
+	// younger than it are not re-issued. len(b.rob) while open, 0 when
+	// closed from the start.
+	ldCut, stCut := len(b.rob), len(b.rob)
+	if b.inFlightLoads >= b.cfg.LoadBuffer {
+		ldCut = 0
+	}
+	if b.inFlightStores >= b.cfg.StoreBuffer {
+		stCut = 0
+	}
+	observed := b.hier.Obs != nil && len(b.parkedLoads)+len(b.parkedStores) > 0
+	var pl, ps int // the observer's position in the parked lists
 	keep := b.pendingIssue[:0]
 	for _, ref := range b.pendingIssue {
 		idx := ref.idx
 		e := &b.rob[idx]
-		if !e.valid || e.gen != ref.gen || e.state != stateDispatched {
-			continue // flushed
+		if observed {
+			pl, ps = b.observeParked(b.age(idx), ldCut, stCut, pl, ps)
 		}
 		// Dependence: wait for the older instruction's completion. The
 		// producer must still be in the ROB window behind this entry.
 		start := cycle
-		if e.depOffset > 0 && b.olderInWindow(idx, e.depOffset) {
-			depIdx := (idx - e.depOffset + len(b.rob)) % len(b.rob)
+		if e.depOffset > 0 && e.depOffset <= b.age(idx) {
+			depIdx := idx - e.depOffset
+			if depIdx < 0 {
+				depIdx += len(b.rob)
+			}
 			dep := &b.rob[depIdx]
 			if dep.valid {
 				if dep.state == stateDispatched {
@@ -347,16 +428,19 @@ func (b *Backend) issue(cycle uint64) {
 				keep = append(keep, ref)
 				continue
 			}
-			l, ok := b.dataRequest(e, start)
+			l, level, ok := b.hier.DataRequest(b.dataAddr(e.fi), start)
 			if !ok {
 				// MSHR pressure in the hierarchy: nothing was consumed,
-				// the load re-issues next cycle.
-				b.Stats.MemRetries++
-				keep = append(keep, ref)
+				// the load re-issues next cycle or, rejected at the
+				// L1D, once it is unparked.
+				keep = b.rejected(ref, level, keep, &b.newLoads)
 				continue
 			}
 			ld--
 			b.inFlightLoads++
+			if ld == 0 || b.inFlightLoads >= b.cfg.LoadBuffer {
+				ldCut = b.age(idx)
+			}
 			lat = l
 		case isa.ClassStore:
 			if st == 0 || b.inFlightStores >= b.cfg.StoreBuffer {
@@ -367,13 +451,15 @@ func (b *Backend) issue(cycle uint64) {
 			// pipeline latency (the dcache write happens post-commit),
 			// but the write-allocate fill still occupies MSHRs and
 			// bandwidth like any other request.
-			if _, ok := b.dataRequest(e, start); !ok {
-				b.Stats.MemRetries++
-				keep = append(keep, ref)
+			if _, level, ok := b.hier.DataRequest(b.dataAddr(e.fi), start); !ok {
+				keep = b.rejected(ref, level, keep, &b.newStores)
 				continue
 			}
 			st--
 			b.inFlightStores++
+			if st == 0 || b.inFlightStores >= b.cfg.StoreBuffer {
+				stCut = b.age(idx)
+			}
 			lat = 1
 		case isa.ClassMul:
 			if alu == 0 {
@@ -397,39 +483,121 @@ func (b *Backend) issue(cycle uint64) {
 		}
 		e.state = stateIssued
 		e.readyAt = start + lat
+		if e.readyAt < b.nextComplete {
+			b.nextComplete = e.readyAt
+		}
 		b.inFlight = append(b.inFlight, ref)
 	}
 	b.pendingIssue = keep
+	if observed {
+		b.observeParked(len(b.rob), ldCut, stCut, pl, ps)
+	}
+	if n := b.olderThan(b.parkedLoads, ldCut) + b.olderThan(b.parkedStores, stCut); n > 0 {
+		b.Stats.MemRetries += n
+		b.hier.RepeatDataRejects(n)
+	}
+	if len(b.newLoads)+len(b.newStores) > 0 {
+		b.parkedLoads = b.mergeByAge(b.parkedLoads, b.newLoads)
+		b.parkedStores = b.mergeByAge(b.parkedStores, b.newStores)
+		b.newLoads, b.newStores = b.newLoads[:0], b.newStores[:0]
+		b.parkGen = b.hier.L1DGeneration()
+	}
 }
 
-// dataRequest sends e's load or store to the hierarchy, returning the
-// load-to-use latency; ok=false means it was rejected and re-issues
-// next cycle. A demand rejected at the L1D because its MSHR file was
-// full is rejected again, identically, until the file's generation
-// moves, so such a re-issue only replays the rejection's accounting
-// (memory.Hierarchy.RepeatDataReject). The generation is read per call:
-// an allocation earlier in the same issue pass moves it. Rejections
-// further down (L2, LLC) depend on state the generation does not cover
-// and always take the full path.
-func (b *Backend) dataRequest(e *robEntry, start uint64) (latency uint64, ok bool) {
-	addr := b.dataAddr(e.fi)
-	if e.l1Gen != 0 && e.l1Gen == b.hier.L1DGeneration() {
-		b.hier.RepeatDataReject(addr)
-		return 0, false
+// rejected counts the retry of a load or store DataRequest turned away
+// at level. One the L1D's full MSHR file rejected joins park, this
+// pass's fresh rejections of its class; any other stays in keep.
+func (b *Backend) rejected(ref entryRef, level memory.Level, keep []entryRef, park *[]entryRef) []entryRef {
+	b.Stats.MemRetries++
+	if level == memory.LevelL1 {
+		*park = append(*park, ref)
+		return keep
 	}
-	latency, level, ok := b.hier.DataRequest(addr, start)
-	if !ok && level == memory.LevelL1 {
-		e.l1Gen = b.hier.L1DGeneration()
-	}
-	return latency, ok
+	// Rejections further down (L2, LLC) depend on state the L1D
+	// generation does not cover: re-issue through the full path.
+	return append(keep, ref)
 }
 
-// olderInWindow reports whether an entry depOffset slots older than idx
-// is still inside the live ROB window.
-func (b *Backend) olderInWindow(idx, depOffset int) bool {
-	// Distance from head to idx in ring order.
-	dist := (idx - b.head + len(b.rob)) % len(b.rob)
-	return depOffset <= dist
+// observeParked emits, in age order, the backpressure events of the
+// parked loads and stores from positions pl and ps on that are older
+// than age, for those older than their class's cut (the ones counted
+// as re-issued), and returns the new positions.
+func (b *Backend) observeParked(age, ldCut, stCut, pl, ps int) (int, int) {
+	for {
+		la, sa := len(b.rob), len(b.rob)
+		if pl < len(b.parkedLoads) {
+			la = b.age(b.parkedLoads[pl].idx)
+		}
+		if ps < len(b.parkedStores) {
+			sa = b.age(b.parkedStores[ps].idx)
+		}
+		switch {
+		case la < sa && la < age:
+			if la < ldCut {
+				b.hier.RepeatDataRejectEvent(b.dataAddr(b.rob[b.parkedLoads[pl].idx].fi))
+			}
+			pl++
+		case sa < la && sa < age:
+			if sa < stCut {
+				b.hier.RepeatDataRejectEvent(b.dataAddr(b.rob[b.parkedStores[ps].idx].fi))
+			}
+			ps++
+		default:
+			return pl, ps
+		}
+	}
+}
+
+// olderThan counts the entries of an age-ordered list older than cut.
+func (b *Backend) olderThan(list []entryRef, cut int) uint64 {
+	lo, hi := 0, len(list)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if b.age(list[mid].idx) < cut {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return uint64(lo)
+}
+
+// unpark returns the parked entries to pendingIssue, by age.
+func (b *Backend) unpark() {
+	b.pendingIssue = b.mergeByAge(b.pendingIssue, b.parkedLoads)
+	b.pendingIssue = b.mergeByAge(b.pendingIssue, b.parkedStores)
+	b.parkedLoads, b.parkedStores = b.parkedLoads[:0], b.parkedStores[:0]
+}
+
+// mergeByAge returns the age-ordered merge of two age-ordered lists.
+// When extra is all younger, it is appended to list; otherwise the
+// merge is built in the spare buffer and list's buffer becomes the new
+// spare.
+func (b *Backend) mergeByAge(list, extra []entryRef) []entryRef {
+	if len(extra) == 0 || len(list) == 0 || b.age(list[len(list)-1].idx) < b.age(extra[0].idx) {
+		return append(list, extra...)
+	}
+	merged, x, y := b.spare[:0], list, extra
+	for len(x) > 0 && len(y) > 0 {
+		if b.age(x[0].idx) < b.age(y[0].idx) {
+			merged, x = append(merged, x[0]), x[1:]
+		} else {
+			merged, y = append(merged, y[0]), y[1:]
+		}
+	}
+	merged = append(append(merged, x...), y...)
+	b.spare = list[:0]
+	return merged
+}
+
+// age is the distance of ROB slot idx from the head: among live
+// entries, smaller is older.
+func (b *Backend) age(idx int) int {
+	d := idx - b.head
+	if d < 0 {
+		d += len(b.rob)
+	}
+	return d
 }
 
 // dataAddr picks the memory address for a load/store: the resolved

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"testing"
 
 	"udpsim/internal/isa"
@@ -49,6 +50,35 @@ func BenchmarkMSHRLookup(b *testing.B) {
 				if f.Lookup(ln(64+i%64)) != nil {
 					b.Fatal("phantom entry")
 				}
+			}
+		})
+	}
+}
+
+// BenchmarkMSHRCompleted measures the per-cycle completion sweep of a
+// file that stays full and turns one entry over every cycle, as a
+// saturated L1D (16 entries) or L2 (32) file does: each op is one
+// Completed call that frees and installs one fill, then the Allocate
+// that takes its slot for a fill landing a file's length later.
+func BenchmarkMSHRCompleted(b *testing.B) {
+	for _, n := range []int{16, 32} {
+		b.Run(fmt.Sprintf("turnover-%d", n), func(b *testing.B) {
+			f := NewMSHRFile(n)
+			for i := 0; i < n; i++ {
+				f.Allocate(ln(i), 0, uint64(i+1), false, false)
+			}
+			var installed int
+			install := func(MSHR) { installed++ }
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cycle := uint64(i + 1)
+				f.Completed(cycle, install)
+				f.Allocate(ln(n+i), cycle, cycle+uint64(n), false, false)
+			}
+			b.StopTimer()
+			if installed != b.N || !f.Full() {
+				b.Fatalf("%d fills installed over %d cycles, file full %v: want one per cycle", installed, b.N, f.Full())
 			}
 		})
 	}

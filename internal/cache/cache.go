@@ -74,6 +74,9 @@ func (c Config) Validate() error {
 	if lb == 0 {
 		lb = isa.LineBytes
 	}
+	if lb < 0 || lb&(lb-1) != 0 {
+		return fmt.Errorf("cache %s: line size %d is not a power of two", c.Name, lb)
+	}
 	if c.SizeBytes%(c.Ways*lb) != 0 {
 		return fmt.Errorf("cache %s: size %d not divisible by ways*linesize %d", c.Name, c.SizeBytes, c.Ways*lb)
 	}
@@ -119,12 +122,13 @@ func (s *Stats) HitRate() float64 {
 
 // Cache is a set-associative cache over line addresses.
 type Cache struct {
-	cfg      Config
-	sets     [][]line
-	setMask  uint64
-	setShift uint64 // log2 of the set count: tag = line number >> setShift
-	rngState uint64
-	Stats    Stats
+	cfg       Config
+	sets      [][]line
+	setMask   uint64
+	setShift  uint64 // log2 of the set count: tag = line number >> setShift
+	lineShift uint64 // log2 of the line size: line number = address >> lineShift
+	rngState  uint64
+	Stats     Stats
 }
 
 // New builds a cache from cfg, panicking on invalid geometry (a
@@ -143,11 +147,12 @@ func New(cfg Config) *Cache {
 		sets[i] = backing[i*cfg.Ways : (i+1)*cfg.Ways : (i+1)*cfg.Ways]
 	}
 	return &Cache{
-		cfg:      cfg,
-		sets:     sets,
-		setMask:  uint64(nsets - 1),
-		setShift: uint64(bits.TrailingZeros64(uint64(nsets))),
-		rngState: 0x853c49e6748fea9b,
+		cfg:       cfg,
+		sets:      sets,
+		setMask:   uint64(nsets - 1),
+		setShift:  uint64(bits.TrailingZeros64(uint64(nsets))),
+		lineShift: uint64(bits.TrailingZeros64(uint64(cfg.LineBytes))),
+		rngState:  0x853c49e6748fea9b,
 	}
 }
 
@@ -155,7 +160,7 @@ func New(cfg Config) *Cache {
 func (c *Cache) Config() Config { return c.cfg }
 
 func (c *Cache) index(lineAddr isa.Addr) (set uint64, tag uint64) {
-	n := uint64(lineAddr) / uint64(c.cfg.LineBytes)
+	n := uint64(lineAddr) >> c.lineShift
 	return n & c.setMask, n >> c.setShift
 }
 
@@ -344,5 +349,5 @@ func (c *Cache) pickVictim(ways []line) int {
 
 func (c *Cache) reconstruct(set, tag uint64) isa.Addr {
 	n := tag<<c.setShift | set
-	return isa.Addr(n * uint64(c.cfg.LineBytes))
+	return isa.Addr(n << c.lineShift)
 }

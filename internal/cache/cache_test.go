@@ -23,11 +23,18 @@ func TestConfigValidate(t *testing.T) {
 		{Name: "negways", SizeBytes: 1024, Ways: 0},
 		{Name: "indivisible", SizeBytes: 1000, Ways: 3},
 		{Name: "nonpow2sets", SizeBytes: 3 * 64 * 4, Ways: 4}, // 3 sets
+		// 48-byte lines: 512 sets, but a line size that is not a power
+		// of two has no line shift.
+		{Name: "nonpow2line", SizeBytes: 48 * 8 * 512, Ways: 8, LineBytes: 48},
+		{Name: "negline", SizeBytes: 1024, Ways: 1, LineBytes: -64},
 	}
 	for _, c := range bad {
 		if err := c.Validate(); err == nil {
 			t.Errorf("config %q accepted", c.Name)
 		}
+	}
+	if wide := (Config{Name: "wide", SizeBytes: 32 * 1024, Ways: 8, LineBytes: 128}); wide.Validate() != nil {
+		t.Errorf("128-byte lines rejected: %v", wide.Validate())
 	}
 	if good.Sets() != 32*1024/(8*64) {
 		t.Errorf("Sets() = %d", good.Sets())

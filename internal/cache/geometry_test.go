@@ -11,9 +11,9 @@ import (
 
 // TestEvictionAddressRoundTrip checks that every cache geometry the
 // simulator builds — the 32 KiB default and 40 KiB L1I, the L1D, the L2
-// and the LLC — reports an evicted line under the address it was
-// inserted at, for every set and for tags up to the top of the address
-// space the set shift leaves.
+// and the LLC, plus an L2 with 128-byte lines — reports an evicted line
+// under the address it was inserted at, for every set and for tags up
+// to the top of the address space the line and set shifts leave.
 func TestEvictionAddressRoundTrip(t *testing.T) {
 	def := sim.NewConfig(workload.MustByName("mysql"), sim.MechBaseline)
 	geoms := []cache.Config{
@@ -22,12 +22,17 @@ func TestEvictionAddressRoundTrip(t *testing.T) {
 		{Name: "L1D", SizeBytes: def.L1DBytes, Ways: def.L1DWays},
 		{Name: "L2", SizeBytes: def.L2Bytes, Ways: def.L2Ways},
 		{Name: "LLC", SizeBytes: def.LLCBytes, Ways: def.LLCWays},
+		{Name: "L2-128B", SizeBytes: def.L2Bytes, Ways: def.L2Ways, LineBytes: 128},
 	}
 	for _, g := range geoms {
 		g.Policy = cache.LRU
 		c := cache.New(g)
 		sets := uint64(g.Sets())
-		maxTag := (^uint64(0) / isa.LineBytes) / sets
+		lineBytes := uint64(isa.LineBytes)
+		if g.LineBytes != 0 {
+			lineBytes = uint64(g.LineBytes)
+		}
+		maxTag := (^uint64(0) / lineBytes) / sets
 		for set := uint64(0); set < sets; set++ {
 			// Ways+1 distinct tags in one set: the last insert evicts
 			// the first (the LRU way).
@@ -36,7 +41,7 @@ func TestEvictionAddressRoundTrip(t *testing.T) {
 				tags[i] = (set*7919 + uint64(i)*0x9e3779b97f4a7c15) % maxTag
 			}
 			tags[0] = maxTag // the widest tag the geometry can hold
-			addr := func(tag uint64) isa.Addr { return isa.Addr((tag*sets + set) * isa.LineBytes) }
+			addr := func(tag uint64) isa.Addr { return isa.Addr((tag*sets + set) * lineBytes) }
 			for i, tag := range tags[:g.Ways] {
 				if ev := c.Insert(addr(tag), uint64(i+1), false); ev.Valid {
 					t.Fatalf("%s set %d: premature eviction of %#x", g.Name, set, ev.LineAddr)

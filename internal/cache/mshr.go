@@ -40,23 +40,42 @@ type MSHRStats struct {
 // earliest in-flight completion cycle are tracked incrementally so the
 // per-cycle Completed sweep is O(1) when nothing can complete — the
 // file sits on the simulator's hot loop at every cache level.
+//
+// Each slot's line address and ready cycle are also kept in two dense
+// arrays, one 8-byte word per slot in slot order, so Lookup and
+// Allocate scan lines and Completed scans ready without touching the
+// full records. A free slot holds freeLine and neverReady.
 type MSHRFile struct {
 	entries   []MSHR
+	lines     []isa.Addr // entries[i].LineAddr, or freeLine
+	ready     []uint64   // entries[i].ReadyCycle, or neverReady
 	occupied  int
 	nextReady uint64 // earliest ReadyCycle among valid entries (neverReady when empty)
 	gen       uint64 // membership generation (see Generation)
 	Stats     MSHRStats
 }
 
-// neverReady is the nextReady sentinel for an empty file.
+// neverReady is the nextReady sentinel for an empty file and the ready
+// word of a free slot.
 const neverReady = ^uint64(0)
+
+// freeLine is the line word of a free slot. It is not line-aligned, so
+// no line address equals it.
+const freeLine = ^isa.Addr(0)
 
 // NewMSHRFile builds a file with n entries.
 func NewMSHRFile(n int) *MSHRFile {
 	if n <= 0 {
 		panic("cache: MSHR file needs at least one entry")
 	}
-	return &MSHRFile{entries: make([]MSHR, n), nextReady: neverReady}
+	f := &MSHRFile{
+		entries:   make([]MSHR, n),
+		lines:     make([]isa.Addr, n),
+		ready:     make([]uint64, n),
+		nextReady: neverReady,
+	}
+	f.freeAll()
+	return f
 }
 
 // Generation counts changes to the file's membership: every successful
@@ -71,8 +90,8 @@ func (f *MSHRFile) Lookup(lineAddr isa.Addr) *MSHR {
 	if f.occupied == 0 {
 		return nil
 	}
-	for i := range f.entries {
-		if f.entries[i].Valid && f.entries[i].LineAddr == lineAddr {
+	for i, l := range f.lines {
+		if l == lineAddr {
 			return &f.entries[i]
 		}
 	}
@@ -82,8 +101,13 @@ func (f *MSHRFile) Lookup(lineAddr isa.Addr) *MSHR {
 // Allocate reserves an entry for a new fill. It returns nil when the file
 // is full (the requester must retry or stall).
 func (f *MSHRFile) Allocate(lineAddr isa.Addr, issue, ready uint64, prefetch, offPath bool) *MSHR {
-	for i := range f.entries {
-		if !f.entries[i].Valid {
+	if f.occupied < len(f.lines) {
+		for i, l := range f.lines {
+			if l != freeLine {
+				continue
+			}
+			f.lines[i] = lineAddr
+			f.ready[i] = ready
 			f.entries[i] = MSHR{
 				LineAddr:   lineAddr,
 				Valid:      true,
@@ -119,9 +143,9 @@ func (f *MSHRFile) MergeDemand(m *MSHR) uint64 {
 }
 
 // Completed collects entries whose fills have arrived by cycle, invoking
-// install for each and freeing them. The install callback receives the
-// finished entry by value. The sweep is skipped entirely when no entry
-// can have completed (the common per-cycle case).
+// install for each, in slot order, and freeing them. The install
+// callback receives the finished entry by value. The sweep is skipped
+// entirely when no entry can have completed (the common per-cycle case).
 func (f *MSHRFile) Completed(cycle uint64, install func(MSHR)) {
 	if f.occupied == 0 || cycle < f.nextReady {
 		return
@@ -131,22 +155,24 @@ func (f *MSHRFile) Completed(cycle uint64, install func(MSHR)) {
 	// then fold in the minimum over the surviving entries below.
 	f.nextReady = neverReady
 	next := uint64(neverReady)
-	for i := range f.entries {
-		if !f.entries[i].Valid {
+	for i, r := range f.ready {
+		if r > cycle {
+			if r < next {
+				next = r
+			}
 			continue
 		}
-		if f.entries[i].ReadyCycle <= cycle {
-			e := f.entries[i]
-			f.entries[i].Valid = false
-			f.occupied--
-			f.gen++
-			f.Stats.Completions++
-			install(e)
-			continue
+		if f.lines[i] == freeLine {
+			continue // a free slot's neverReady: only Drain's cycle reaches it
 		}
-		if f.entries[i].ReadyCycle < next {
-			next = f.entries[i].ReadyCycle
-		}
+		e := f.entries[i]
+		f.entries[i].Valid = false
+		f.lines[i] = freeLine
+		f.ready[i] = neverReady
+		f.occupied--
+		f.gen++
+		f.Stats.Completions++
+		install(e)
 	}
 	if next < f.nextReady {
 		f.nextReady = next
@@ -165,10 +191,17 @@ func (f *MSHRFile) Full() bool { return f.occupied == len(f.entries) }
 // Flush drops all in-flight entries (used only by tests and machine
 // reset; real fills are never cancelled mid-flight by the frontend).
 func (f *MSHRFile) Flush() {
-	for i := range f.entries {
-		f.entries[i].Valid = false
-	}
+	f.freeAll()
 	f.occupied = 0
 	f.nextReady = neverReady
 	f.gen++
+}
+
+// freeAll marks every slot free.
+func (f *MSHRFile) freeAll() {
+	for i := range f.entries {
+		f.entries[i].Valid = false
+		f.lines[i] = freeLine
+		f.ready[i] = neverReady
+	}
 }

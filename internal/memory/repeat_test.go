@@ -18,12 +18,14 @@ type repeatDemand struct {
 	l1Gen uint64
 }
 
-// TestRepeatDataRejectMatchesDataRequest drives two hierarchies through
-// the same random mix of data demands (with stream prefetches behind
-// them) and instruction fills. One always calls DataRequest; the other
-// replays a demand's LevelL1 rejection through RepeatDataReject
-// whenever L1DGeneration has not moved since it. Every cycle, every
-// outcome, statistic and observed event must be equal.
+// TestRepeatDataRejectMatchesDataRequest drives three hierarchies
+// through the same random mix of data demands (with stream prefetches
+// behind them) and instruction fills. One always calls DataRequest; the
+// other two replay a demand's LevelL1 rejection whenever L1DGeneration
+// has not moved since it: one through RepeatDataReject per demand, the
+// other the way the backend does, through RepeatDataRejectEvent per
+// demand and one RepeatDataRejects call for the cycle's n repeats. Every
+// cycle, every outcome, statistic and observed event must be equal.
 func TestRepeatDataRejectMatchesDataRequest(t *testing.T) {
 	for _, l1dMSHRs := range []int{2, 3, 4} {
 		cfg := testConfig()
@@ -31,29 +33,32 @@ func TestRepeatDataRejectMatchesDataRequest(t *testing.T) {
 		cfg.L2MSHRs = 6
 		cfg.LLCMSHRs = 8
 		cfg.StreamPrefetcher = true
-		full, short := New(cfg), New(cfg)
-		full.Obs = &obs.Observer{Life: obs.NewLifecycle()}
-		short.Obs = &obs.Observer{Life: obs.NewLifecycle()}
+		full, short, bulk := New(cfg), New(cfg), New(cfg)
+		all := []*Hierarchy{full, short, bulk}
+		for _, h := range all {
+			h.Obs = &obs.Observer{Life: obs.NewLifecycle()}
+		}
 
 		// The sequential region starts out in the LLC, so its fills
 		// turn L1D MSHRs over quickly.
 		stream := isa.Addr(0x2000000)
 		for i := 0; i < 4096; i++ {
-			full.LLC.Insert(stream+isa.Addr(i*isa.LineBytes), 0, false)
-			short.LLC.Insert(stream+isa.Addr(i*isa.LineBytes), 0, false)
+			for _, h := range all {
+				h.LLC.Insert(stream+isa.Addr(i*isa.LineBytes), 0, false)
+			}
 		}
 
 		rng := rand.New(rand.NewSource(int64(l1dMSHRs)))
 		var queue []repeatDemand
-		var repeats, l2Rejects uint64
+		var repeats, bulkCycles, l2Rejects uint64
 		for cycle := uint64(1); cycle <= 6000; cycle++ {
 			// A fresh tracer per cycle keeps the comparison to this
 			// cycle's events.
-			full.Obs.Trace, short.Obs.Trace = obs.NewTracer(4096), obs.NewTracer(4096)
-			full.Obs.SetNow(cycle)
-			short.Obs.SetNow(cycle)
-			full.Tick(cycle)
-			short.Tick(cycle)
+			for _, h := range all {
+				h.Obs.Trace = obs.NewTracer(4096)
+				h.Obs.SetNow(cycle)
+				h.Tick(cycle)
+			}
 
 			// Out of every 1000 cycles, 500 carry only a trickle of
 			// sequential demands: the MSHR files drain, and the stream
@@ -83,15 +88,18 @@ func TestRepeatDataRejectMatchesDataRequest(t *testing.T) {
 				line := ln(rng.Intn(4096))
 				prefetch := rng.Intn(2) == 0
 				r1, l1, ok1 := full.InstrRequest(line, cycle, prefetch)
-				r2, l2, ok2 := short.InstrRequest(line, cycle, prefetch)
-				if r1 != r2 || l1 != l2 || ok1 != ok2 {
-					t.Fatalf("mshrs=%d cycle %d: instr fill diverged: (%d,%v,%v) vs (%d,%v,%v)", l1dMSHRs, cycle, r1, l1, ok1, r2, l2, ok2)
+				for _, h := range all[1:] {
+					r2, l2, ok2 := h.InstrRequest(line, cycle, prefetch)
+					if r1 != r2 || l1 != l2 || ok1 != ok2 {
+						t.Fatalf("mshrs=%d cycle %d: instr fill diverged: (%d,%v,%v) vs (%d,%v,%v)", l1dMSHRs, cycle, r1, l1, ok1, r2, l2, ok2)
+					}
 				}
 			}
 
 			// Issue every outstanding demand in order, as the backend's
 			// issue pass does; accepted ones leave the queue.
 			keep := 0
+			var cycleRepeats uint64
 			for i := range queue {
 				d := &queue[i]
 				start := cycle + uint64(rng.Intn(3))
@@ -101,16 +109,19 @@ func TestRepeatDataRejectMatchesDataRequest(t *testing.T) {
 						t.Fatalf("mshrs=%d cycle %d: %#x repeated a rejection the full path served at %v (ok=%v)", l1dMSHRs, cycle, d.addr, level, ok)
 					}
 					short.RepeatDataReject(d.addr)
-					repeats++
+					bulk.RepeatDataRejectEvent(d.addr)
+					cycleRepeats++
 				} else {
-					lat2, level2, ok2 := short.DataRequest(d.addr, start)
-					if lat != lat2 || level != level2 || ok != ok2 {
-						t.Fatalf("mshrs=%d cycle %d: %#x diverged: (%d,%v,%v) vs (%d,%v,%v)", l1dMSHRs, cycle, d.addr, lat, level, ok, lat2, level2, ok2)
+					for _, h := range all[1:] {
+						lat2, level2, ok2 := h.DataRequest(d.addr, start)
+						if lat != lat2 || level != level2 || ok != ok2 {
+							t.Fatalf("mshrs=%d cycle %d: %#x diverged: (%d,%v,%v) vs (%d,%v,%v)", l1dMSHRs, cycle, d.addr, lat, level, ok, lat2, level2, ok2)
+						}
 					}
-					if !ok2 && level2 == LevelL1 {
+					if !ok && level == LevelL1 {
 						d.l1Gen = short.L1DGeneration()
 					}
-					if !ok2 && level2 != LevelL1 {
+					if !ok && level != LevelL1 {
 						l2Rejects++
 					}
 				}
@@ -120,12 +131,18 @@ func TestRepeatDataRejectMatchesDataRequest(t *testing.T) {
 				}
 			}
 			queue = queue[:keep]
+			bulk.RepeatDataRejects(cycleRepeats)
+			repeats += cycleRepeats
+			if cycleRepeats > 1 {
+				bulkCycles++
+			}
 
 			assertSameHierarchy(t, full, short, l1dMSHRs, cycle)
+			assertSameHierarchy(t, full, bulk, l1dMSHRs, cycle)
 		}
-		if repeats == 0 || l2Rejects == 0 || full.Stats.StreamPrefetches == 0 {
-			t.Errorf("mshrs=%d: traffic did not reach every path: %d repeats, %d rejections below the L1D, %d stream prefetches",
-				l1dMSHRs, repeats, l2Rejects, full.Stats.StreamPrefetches)
+		if repeats == 0 || bulkCycles == 0 || l2Rejects == 0 || full.Stats.StreamPrefetches == 0 {
+			t.Errorf("mshrs=%d: traffic did not reach every path: %d repeats (%d cycles with several), %d rejections below the L1D, %d stream prefetches",
+				l1dMSHRs, repeats, bulkCycles, l2Rejects, full.Stats.StreamPrefetches)
 		}
 	}
 }

@@ -114,11 +114,28 @@ func (h *Hierarchy) L1DGeneration() uint64 { return h.l1dm.Generation() }
 // replays that rejection's accounting — the L1D probe's miss, the L1D
 // fill request and retry, the MSHR allocation failure and the
 // backpressure event — without probing the L1D or its MSHR file, whose
-// answer cannot have changed.
+// answer cannot have changed. It is the one-demand form of
+// RepeatDataRejects plus RepeatDataRejectEvent.
 func (h *Hierarchy) RepeatDataReject(addr isa.Addr) {
-	h.L1D.Stats.Misses++
-	h.Stats.L1D.FillRequests++
-	h.rejectAt(&h.Stats.L1D, h.l1dm, LevelL1, addr.Line(), false)
+	h.RepeatDataRejects(1)
+	h.RepeatDataRejectEvent(addr)
+}
+
+// RepeatDataRejects counts n repeated LevelL1 rejections (see
+// RepeatDataReject) at once. It emits no events: a caller with an
+// observer attached reports each demand through RepeatDataRejectEvent,
+// in the order the demands were re-issued.
+func (h *Hierarchy) RepeatDataRejects(n uint64) {
+	h.L1D.Stats.Misses += n
+	h.Stats.L1D.FillRequests += n
+	h.Stats.L1D.Retries += n
+	h.l1dm.Stats.AllocFailures += n
+}
+
+// RepeatDataRejectEvent emits the backpressure event of one repeated
+// LevelL1 rejection of the demand for addr, and counts nothing.
+func (h *Hierarchy) RepeatDataRejectEvent(addr isa.Addr) {
+	h.memBackpressure(LevelL1, addr.Line(), false)
 }
 
 // observeStream feeds the stream prefetcher after the demand itself has

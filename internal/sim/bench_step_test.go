@@ -14,14 +14,19 @@ import (
 // and trackers reach steady state too.
 func benchStepMachine(b *testing.B, mech Mechanism, o *obs.Observer) *Machine {
 	b.Helper()
-	cfg := testConfig(mech)
+	return warmStepMachine(b, testConfig(mech), o)
+}
+
+// warmStepMachine is benchStepMachine for any configuration.
+func warmStepMachine(tb testing.TB, cfg Config, o *obs.Observer) *Machine {
+	tb.Helper()
 	prog, err := SharedImage(cfg.Workload)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	m, err := NewMachineWithProgram(cfg, prog)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	if o != nil {
 		m.AttachObserver(o)
@@ -32,15 +37,45 @@ func benchStepMachine(b *testing.B, mech Mechanism, o *obs.Observer) *Machine {
 	return m
 }
 
+// pressuredConfig is the data-path-bound regime of the hot-loop gates:
+// the UDP machine with 4 L1D and 8 L2 MSHRs (the MSHR-pressure golden
+// grid's sizes). Its L1D MSHR file is full most cycles, so the backend
+// keeps rejected loads and stores parked, which testConfig's 16-entry
+// file rarely makes it do.
+func pressuredConfig() Config {
+	cfg := testConfig(MechUDP)
+	cfg.L1DMSHRs = 4
+	cfg.L2MSHRs = 8
+	return cfg
+}
+
+// stepVariant is one machine BenchmarkMachineStep and
+// TestMachineStepZeroAlloc step.
+type stepVariant struct {
+	name string
+	cfg  Config
+}
+
+// stepVariants are every mechanism in mechs at testConfig (the gate
+// covers all registered ones, the benchmark the paper's four) and the
+// pressured UDP machine.
+func stepVariants(mechs []Mechanism) []stepVariant {
+	var vs []stepVariant
+	for _, mech := range mechs {
+		vs = append(vs, stepVariant{string(mech), testConfig(mech)})
+	}
+	return append(vs, stepVariant{"udp-l1d4", pressuredConfig()})
+}
+
 // BenchmarkMachineStep measures the raw per-cycle cost of the assembled
 // machine — the innermost loop every figure, sweep and experiment cell
 // spins in. It must report 0 allocs/op: the parallel experiment engine
 // scales with cores only if the hot loop never touches the garbage
 // collector (TestMachineStepZeroAlloc gates this; CI fails on > 0).
 func BenchmarkMachineStep(b *testing.B) {
-	for _, mech := range []Mechanism{MechBaseline, MechUDP, MechUFTQATRAUR, MechEIP} {
-		b.Run(string(mech), func(b *testing.B) {
-			m := benchStepMachine(b, mech, nil)
+	for _, v := range stepVariants([]Mechanism{MechBaseline, MechUDP, MechUFTQATRAUR, MechEIP}) {
+		b.Run(v.name, func(b *testing.B) {
+			m := warmStepMachine(b, v.cfg, nil)
 			warm := m.BE.Stats.Retired
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -65,21 +100,16 @@ func TestMachineStepZeroAlloc(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: skipping alloc gate (needs a warmed machine)")
 	}
-	for _, mech := range Mechanisms() {
-		t.Run(string(mech), func(t *testing.T) {
-			cfg := testConfig(mech)
-			prog, err := SharedImage(cfg.Workload)
-			if err != nil {
-				t.Fatal(err)
-			}
-			m, err := NewMachineWithProgram(cfg, prog)
-			if err != nil {
-				t.Fatal(err)
-			}
-			m.RunInstructions(100_000)
+	for _, v := range stepVariants(Mechanisms()) {
+		t.Run(v.name, func(t *testing.T) {
+			m := warmStepMachine(t, v.cfg, nil)
+			retries := m.BE.Stats.MemRetries
 			avg := testing.AllocsPerRun(20_000, m.Step)
 			if avg != 0 {
-				t.Errorf("%s: Machine.Step allocates %.4f allocs/op, want 0", mech, avg)
+				t.Errorf("%s: Machine.Step allocates %.4f allocs/op, want 0", v.name, avg)
+			}
+			if v.cfg.L1DMSHRs == 4 && m.BE.Stats.MemRetries == retries {
+				t.Errorf("%s: no load or store was rejected in the measured steps", v.name)
 			}
 		})
 	}
